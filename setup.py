@@ -11,9 +11,9 @@ which provides mypyc) compiles the strict-typed hot modules —
     REPRO_COMPILE=1 pip install -e .[compiled]
 
 The compiled build is strictly optional: nothing imports mypyc at
-runtime, ``repro.fastpath.detect.compiled_core_active()`` reports whether
-it is loaded, and a plain install runs the identical pure-python
-byte-code.  See docs/performance.md.
+runtime (``repro.core.bitset.__file__`` ending in ``.so`` shows it is
+loaded), and a plain install runs the identical pure-python byte-code.
+See docs/performance.md.
 """
 
 import os
@@ -32,7 +32,7 @@ COMPILED_MODULES = [
 def _ext_modules():
     if os.environ.get("REPRO_COMPILE", "") != "1":
         return []
-    # lint: disable=fastpath-guard -- the one build-time import: mypyc
+    # lint: disable=accelerator-guard -- the one build-time import: mypyc
     # only runs under REPRO_COMPILE=1 with the [compiled] extra present.
     from mypyc.build import mypycify
 

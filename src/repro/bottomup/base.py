@@ -6,6 +6,7 @@ from abc import ABC, abstractmethod
 
 from repro.analysis.metrics import Metrics
 from repro.catalog.query import Query
+from repro.cost.batch import batch_kernel
 from repro.cost.io_model import CostModel
 from repro.obs.registry import TIME_BETWEEN_JOINS, MetricsRegistry
 from repro.obs.timing import clock
@@ -47,6 +48,7 @@ class BottomUpOptimizer(ABC):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.metrics = metrics if metrics is not None else Metrics()
         self.plans: dict[int, Plan] = {}
+        self._batch = batch_kernel(query, self.cost_model)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind_metrics(self.metrics)
         self.registry = registry
@@ -100,18 +102,21 @@ class BottomUpOptimizer(ABC):
     def _consider_join(self, left: int, right: int) -> None:
         """Cost every join method for ``(left, right)`` and keep the best.
 
-        Both masks must already have plans in the table.
+        Both masks must already have plans in the table.  The methods are
+        costed through the same batch kernel row as the top-down search
+        loop, and a plan node is built only for an improvement.
         """
         left_plan = self.plans[left]
         right_plan = self.plans[right]
         combined = left | right
         incumbent = self.plans.get(combined)
+        child_cost = left_plan.cost + right_plan.cost
         metrics = self.metrics
         metrics.logical_joins_enumerated += 1
-        for method in self.cost_model.JOIN_METHODS:
-            plan = self.cost_model.build_join(
-                self.query, method, left_plan, right_plan
-            )
+        operator_costs = self._batch.row(left, right)
+        for method, operator_cost in zip(
+            self.cost_model.JOIN_METHODS, operator_costs
+        ):
             metrics.join_operators_costed += 1
             if self._h_join_gap is not None:
                 # First observation is a zero gap so that
@@ -123,8 +128,12 @@ class BottomUpOptimizer(ABC):
                 else:
                     self._h_join_gap.observe(0.0)
                 self._last_join_at = now
-            if incumbent is None or plan.cost < incumbent.cost:
-                incumbent = plan
+            # Same addition order as `build_join`, so the test is exact.
+            total = child_cost + operator_cost
+            if incumbent is None or total < incumbent.cost:
+                incumbent = self.cost_model.build_join(
+                    self.query, method, left_plan, right_plan
+                )
         self.plans[combined] = incumbent
 
     @abstractmethod

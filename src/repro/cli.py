@@ -184,7 +184,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         memo_capacity=getattr(args, "memo_capacity", None),
         memo_cold_capacity=getattr(args, "memo_cold_capacity", None),
         memo_profile=memo_profile,
-        fastpath=getattr(args, "fastpath", None),
         budget=budget,
         top_k=top_k,
     )
@@ -259,9 +258,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "path": args.profile_out,
                 "kernels": [row["kernel"] for row in profile_report["kernels"]],
             }
-        fastpath_backend = getattr(optimizer, "fastpath_backend", None)
-        if fastpath_backend is not None:
-            payload["fastpath"] = {"backend": fastpath_backend}
         if parallel_info is not None:
             payload["parallel"] = parallel_info
         if anytime_report is not None:
@@ -279,9 +275,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         return 0
     print(f"query: {query.describe()}")
     print(f"algorithm: {args.algorithm}  ({elapsed * 1e3:.2f} ms)")
-    fastpath_backend = getattr(optimizer, "fastpath_backend", None)
-    if fastpath_backend is not None:
-        print(f"fastpath: {fastpath_backend} batch backend")
     if parallel_info is not None:
         print(
             f"parallel: {parallel_info['workers']} workers, "
@@ -805,7 +798,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
-            fastpath=args.fastpath,
         )
 
     if args.once:
@@ -951,12 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--memo-profile", metavar="PATH",
         help="offline recompute weights from 'repro profile-memo' "
              "(used by --memo-policy profile)",
-    )
-    optimize.add_argument(
-        "--fastpath", choices=["auto", "on", "off"], default=None,
-        help="batched fast path (repro.fastpath): on forces it, off pins "
-             "the scalar oracle, auto (default) honours a !fast algorithm "
-             "suffix; REPRO_FASTPATH=off overrides everything",
     )
     optimize.add_argument(
         "--budget-ms", type=float, metavar="MS",
@@ -1230,11 +1216,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--json", action="store_true",
         help="emit the --once report as machine-readable JSON",
-    )
-    serve.add_argument(
-        "--fastpath", choices=["auto", "on", "off"], default=None,
-        help="batched fast path for every served optimization "
-             "(see 'repro optimize --fastpath')",
     )
 
     return parser

@@ -31,18 +31,12 @@ suite, the differential fuzzer (:mod:`repro.conformance.fuzz`), and the
     Every configuration of the registry matrix (strategy x workers x memo
     policy x bounding) agrees, per plan space, on one optimal cost, and
     every returned plan validates structurally against its space.
-``fastpath-parity``
-    The batched fast path (:mod:`repro.fastpath`) returns plans that
-    compare *equal* — same shape, same operators, bit-identical costs —
-    to the scalar oracle's, on every available batch backend, for both
-    exhaustive and branch-and-bound search.
 ``topk-soundness``
     Ranked enumeration (``optimize_topk``, ``docs/anytime.md``) is an
     extension, not a reinterpretation: rank 0 is *bit-identical* to the
     champion search's plan for every strategy, costs are monotone
     nondecreasing down the list, the plans are pairwise structurally
-    distinct, each validates against its plan space, and the fast path
-    ranks identically to the oracle.
+    distinct, and each validates against its plan space.
 ``anytime-gap``
     Any budget yields a valid plan whose gap bound is sound:
     ``certified_floor <= true optimal cost <= plan cost``, with a
@@ -64,7 +58,6 @@ from repro.analysis.metrics import Metrics
 from repro.catalog.query import Query
 from repro.conformance.oracles import is_minimal_cut, space_partition_pairs
 from repro.core.joingraph import JoinGraph
-from repro.fastpath.detect import available_backends
 from repro.partition import (
     MinCutEager,
     MinCutLazy,
@@ -89,7 +82,6 @@ __all__ = [
     "check_bnb_soundness",
     "check_ccp_closed_forms",
     "check_cut_minimality",
-    "check_fastpath_parity",
     "check_memo_soundness",
     "check_partition_completeness",
     "check_plan_agreement",
@@ -401,63 +393,6 @@ def check_memo_soundness(
     return violations
 
 
-#: (oracle, fast) registry-name pairs the parity invariant cross-checks:
-#: plain exhaustive, combined branch-and-bound, and left-deep search.
-FASTPATH_PARITY_PAIRS = (
-    ("TBNmc", "TBNmc!fast"),
-    ("TBNmcAP", "TBNmcAP!fast"),
-    ("TLNmc", "TLNmc!fast"),
-)
-
-
-def check_fastpath_parity(
-    query: Query,
-    pairs: tuple[tuple[str, str], ...] = FASTPATH_PARITY_PAIRS,
-) -> list[Violation]:
-    """The fast path is plan-for-plan identical to the scalar oracle.
-
-    For each (oracle, fast) pair the fast configuration must return a
-    plan comparing *equal* to the oracle's — same shape, same operators,
-    bit-identical costs — on every batch backend this environment can
-    build.  ``fastpath="off"`` pins the oracle side even when
-    ``REPRO_FASTPATH=on`` is ambient; under ``REPRO_FASTPATH=off`` both
-    sides run the oracle and the check degenerates to a no-op, which is
-    exactly what the escape hatch promises.
-    """
-    violations: list[Violation] = []
-    for oracle_name, fast_name in pairs:
-        oracle_plan = make_optimizer(
-            oracle_name, query, fastpath="off"
-        ).optimize()
-        for backend in available_backends():
-            fast_plan = make_optimizer(
-                fast_name, query, fastpath_backend=backend
-            ).optimize()
-            if fast_plan != oracle_plan:
-                cost_note = (
-                    "costs differ"
-                    if _costs_differ(fast_plan.cost, oracle_plan.cost)
-                    else "costs agree but shapes/operators differ"
-                )
-                violations.append(
-                    Violation(
-                        "fastpath-parity",
-                        f"{fast_name} ({backend} backend) returned a plan "
-                        f"!= oracle {oracle_name} on {query.describe()}: "
-                        f"{cost_note} (fast {fast_plan.cost!r}, oracle "
-                        f"{oracle_plan.cost!r})",
-                        _graph_subject(
-                            query.graph,
-                            algorithm=fast_name,
-                            backend=backend,
-                            fast_cost=fast_plan.cost,
-                            oracle_cost=oracle_plan.cost,
-                        ),
-                    )
-                )
-    return violations
-
-
 def check_plan_agreement(
     query: Query,
     matrix: dict[str, tuple[str, ...]] | None = None,
@@ -515,14 +450,8 @@ def check_plan_agreement(
 
 
 #: Strategies the ranking/anytime invariants sweep: plain, accumulated,
-#: combined bounding, the batched fast path, and left-deep search.
-RANKED_STRATEGIES = ("TBNmc", "TBNmcA", "TBNmcAP", "TBNmcAP!fast", "TLNmcA")
-
-#: (oracle, fast) pairs whose ranked lists must agree wire-for-wire.
-TOPK_PARITY_PAIRS = (
-    ("TBNmc", "TBNmc!fast"),
-    ("TBNmcAP", "TBNmcAP!fast"),
-)
+#: combined bounding, and left-deep search.
+RANKED_STRATEGIES = ("TBNmc", "TBNmcA", "TBNmcAP", "TLNmcA")
 
 #: Node budgets the gap invariant probes: zero (pure seed), a single
 #: node, a prefix, and effectively unlimited (must complete at gap 0).
@@ -539,8 +468,7 @@ def check_topk_soundness(
     Per strategy: ``optimize_topk(1)`` and ``optimize_topk(k)`` rank 0
     are bit-identical (``to_wire``) to the plain champion, the ranked
     costs are monotone nondecreasing, the plans are pairwise distinct,
-    and each validates against the strategy's plan space.  The fast path
-    must produce wire-identical ranked lists to the oracle.
+    and each validates against the strategy's plan space.
     """
     violations: list[Violation] = []
     for name in strategies:
@@ -595,28 +523,6 @@ def check_topk_soundness(
                             ),
                         )
                     )
-    for oracle_name, fast_name in TOPK_PARITY_PAIRS:
-        oracle_ranked = make_optimizer(
-            oracle_name, query, fastpath="off"
-        ).optimize_topk(k)
-        for backend in available_backends():
-            fast_ranked = make_optimizer(
-                fast_name, query, fastpath_backend=backend
-            ).optimize_topk(k)
-            if [p.to_wire() for p in fast_ranked] != [
-                p.to_wire() for p in oracle_ranked
-            ]:
-                violations.append(
-                    Violation(
-                        "topk-soundness",
-                        f"{fast_name} ({backend} backend) ranked list "
-                        f"diverges from oracle {oracle_name} on "
-                        f"{query.describe()}",
-                        _graph_subject(
-                            query.graph, algorithm=fast_name, backend=backend
-                        ),
-                    )
-                )
     return violations
 
 
@@ -734,7 +640,6 @@ INVARIANTS: dict[str, Callable[..., list[Violation]]] = {
     "bnb-sound": check_bnb_soundness,
     "memo-sound": check_memo_soundness,
     "plan-agreement": check_plan_agreement,
-    "fastpath-parity": check_fastpath_parity,
     "topk-soundness": check_topk_soundness,
     "anytime-gap": check_anytime_gap,
 }
@@ -746,7 +651,6 @@ QUERY_INVARIANTS = (
     "bnb-sound",
     "memo-sound",
     "plan-agreement",
-    "fastpath-parity",
     "topk-soundness",
     "anytime-gap",
 )
@@ -784,8 +688,6 @@ def run_invariants(
             violations += check_memo_soundness(query)
         if "plan-agreement" in selected:
             violations += check_plan_agreement(query, matrix=matrix)
-        if "fastpath-parity" in selected:
-            violations += check_fastpath_parity(query)
         if "topk-soundness" in selected:
             violations += check_topk_soundness(query)
         if "anytime-gap" in selected:

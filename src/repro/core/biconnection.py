@@ -23,7 +23,7 @@ with the current vertex set when reusing a stale tree (Section 3.3.1).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.bitset import bit, iter_bits, popcount
 from repro.core.joingraph import JoinGraph
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BccNode:
+class BccNode(NamedTuple):
     """A set node of the biconnection tree (one biconnected component).
 
     ``members`` is the component's vertex mask, ``top`` the member closest
@@ -147,62 +146,81 @@ class BiconnectionTree:
         if not subset >> self.root & 1:
             return False
         deleted = self.vertices & ~subset
-        for v in iter_bits(deleted):
-            comp_idx = self.parent_component[v]
+        parent_component = self.parent_component
+        components = self.components
+        remaining = deleted
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            comp_idx = parent_component[low.bit_length() - 1]
             if comp_idx is None:
                 return False
-            comp = self.components[comp_idx]
-            surviving_children = comp.children & ~deleted
+            members, top = components[comp_idx]
+            surviving_children = members & ~(1 << top) & ~deleted
             if surviving_children:
-                if size3_tweak and comp.size == 3 and popcount(surviving_children) == 1:
+                if (
+                    size3_tweak
+                    and members.bit_count() == 3
+                    and surviving_children.bit_count() == 1
+                ):
                     continue
                 return False
         return True
 
 
-def _dfs_biconnected(
+def _biconnection_dfs(
     neighbors: list[int], subset: int, root: int
-) -> tuple[list[BccNode], int, list[int]]:
+) -> BiconnectionTree:
     """Iterative Hopcroft–Tarjan DFS over ``G|_subset`` from ``root``.
 
-    Returns ``(components, articulation_mask, dfs_order)`` where
-    ``dfs_order`` lists the visited vertices in discovery order.  Only the
-    connected component of ``root`` within ``subset`` is visited.
+    Returns the biconnection tree of the connected component of ``root``
+    within ``subset``; its ``vertices`` are the vertices reached, which
+    equal ``subset`` iff ``subset`` induces a connected subgraph.
+    ``D_T`` is accumulated as components close (a component's child
+    vertices are complete by then); ``A_T`` takes one top-down pass.
     """
-    dfnum: dict[int, int] = {root: 0}
-    low: dict[int, int] = {root: 0}
+    size = subset.bit_length()
+    dfnum = [0] * size
+    low = [0] * size
+    parent_component: list[int | None] = [None] * size
+    tree_parent = [0] * size
+    descendants = [0] * size
+    descendants[root] = visited = 1 << root
     counter = 1
-    edge_stack: list[tuple[int, int]] = []
+    vertex_stack: list[int] = []
     components: list[BccNode] = []
     articulation = 0
     root_children = 0
     order = [root]
 
-    # Each frame is [vertex, parent, remaining-neighbour mask]; the mask acts
-    # as a resumable iterator over the adjacency bitmap.
-    frames: list[list[int]] = [[root, -1, neighbors[root] & subset]]
+    # Each frame is [vertex, unexplored-neighbour mask]; the mask acts as
+    # a resumable iterator over the adjacency bitmap.
+    frames: list[list[int]] = [[root, neighbors[root] & subset]]
     while frames:
         frame = frames[-1]
-        v, parent, remaining = frame
-        descended = False
-        while remaining:
+        v = frame[0]
+        remaining = frame[1] & ~visited
+        if remaining:
             low_bit = remaining & -remaining
-            remaining ^= low_bit
-            frame[2] = remaining
+            frame[1] = remaining ^ low_bit
             w = low_bit.bit_length() - 1
-            if w not in dfnum:
-                edge_stack.append((v, w))
-                dfnum[w] = low[w] = counter
-                counter += 1
-                order.append(w)
-                frames.append([w, v, neighbors[w] & subset])
-                descended = True
-                break
-            if w != parent and dfnum[w] < dfnum[v]:
-                edge_stack.append((v, w))
-                if dfnum[w] < low[v]:
-                    low[v] = dfnum[w]
-        if descended:
+            # Every neighbour visited before w is an ancestor of w (any
+            # other neighbour becomes its descendant), so w's back edges
+            # are known on entry: low starts at the number of the first
+            # discovered one (`order` is in discovery order).
+            dfnum[w] = low[w] = counter
+            back = neighbors[w] & visited & ~(1 << v)
+            if back:
+                for u in order:
+                    if back >> u & 1:
+                        low[w] = dfnum[u]
+                        break
+            counter += 1
+            descendants[w] = low_bit
+            visited |= low_bit
+            order.append(w)
+            vertex_stack.append(w)
+            frames.append([w, neighbors[w] & subset])
             continue
         frames.pop()
         if not frames:
@@ -211,20 +229,38 @@ def _dfs_biconnected(
         if low[v] < low[u]:
             low[u] = low[v]
         if low[v] >= dfnum[u]:
-            members = 0
+            # u separates v's subtree: the vertices stacked since v plus u
+            # form one biconnected component, whose child vertex nodes
+            # have all closed their own components already.
+            index = len(components)
+            members = 1 << u
+            below = 0
             while True:
-                a, b = edge_stack.pop()
-                members |= bit(a) | bit(b)
-                if (a, b) == (u, v):
+                m = vertex_stack.pop()
+                members |= 1 << m
+                below |= descendants[m]
+                parent_component[m] = index
+                tree_parent[m] = u
+                if m == v:
                     break
-            components.append(BccNode(members=members, top=u))
+            descendants[u] |= below
+            components.append(BccNode(members, u))
             if u == root:
                 root_children += 1
             else:
-                articulation |= bit(u)
+                articulation |= 1 << u
     if root_children >= 2:
-        articulation |= bit(root)
-    return components, articulation, order
+        articulation |= 1 << root
+
+    ancestors = [0] * size
+    ancestors[root] = 1 << root
+    for v in order:
+        if v != root:
+            ancestors[v] = ancestors[tree_parent[v]] | 1 << v
+    return BiconnectionTree(
+        visited, root, components, parent_component, descendants, ancestors,
+        articulation,
+    )
 
 
 def biconnected_components(
@@ -239,8 +275,8 @@ def biconnected_components(
     if subset is None:
         subset = graph.all_vertices
     root = (subset & -subset).bit_length() - 1
-    components, _, _ = _dfs_biconnected(graph.neighbors, subset, root)
-    return [c.members for c in components]
+    tree = _biconnection_dfs(graph.neighbors, subset, root)
+    return [c.members for c in tree.components]
 
 
 def articulation_vertices(graph: JoinGraph, subset: int | None = None) -> int:
@@ -248,8 +284,7 @@ def articulation_vertices(graph: JoinGraph, subset: int | None = None) -> int:
     if subset is None:
         subset = graph.all_vertices
     root = (subset & -subset).bit_length() - 1
-    _, articulation, _ = _dfs_biconnected(graph.neighbors, subset, root)
-    return articulation
+    return _biconnection_dfs(graph.neighbors, subset, root).articulation
 
 
 def build_bcc_tree(graph: JoinGraph, subset: int, t: int) -> BiconnectionTree:
@@ -262,53 +297,10 @@ def build_bcc_tree(graph: JoinGraph, subset: int, t: int) -> BiconnectionTree:
     """
     if not subset >> t & 1:
         raise ValueError(f"root {t} not contained in subset {subset:#x}")
-    components, articulation, order = _dfs_biconnected(graph.neighbors, subset, t)
-    n = max(subset.bit_length(), 1)
-    parent_component: list[int | None] = [None] * n
-    child_components: list[list[int]] = [[] for _ in range(n)]
-    for idx, comp in enumerate(components):
-        child_components[comp.top].append(idx)
-        for m in iter_bits(comp.children):
-            if parent_component[m] is None:
-                parent_component[m] = idx
-
-    visited = 0
-    for v in order:
-        visited |= bit(v)
-    if visited != subset:
+    tree = _biconnection_dfs(graph.neighbors, subset, t)
+    if tree.vertices != subset:
         raise ValueError("subset does not induce a connected subgraph")
-
-    # Descendant masks: accumulate bottom-up in reverse discovery order.
-    descendants = [0] * n
-    for v in reversed(order):
-        d = bit(v)
-        for idx in child_components[v]:
-            comp = components[idx]
-            for m in iter_bits(comp.children):
-                d |= descendants[m]
-        descendants[v] = d
-
-    # Ancestor masks: accumulate top-down in discovery order.
-    ancestors = [0] * n
-    ancestors[t] = bit(t)
-    for v in order:
-        if v == t:
-            continue
-        parent_idx = parent_component[v]
-        if parent_idx is None:  # unreachable: every non-root has a parent
-            raise AssertionError(f"vertex {v} has no parent component")
-        comp = components[parent_idx]
-        ancestors[v] = ancestors[comp.top] | bit(v)
-
-    return BiconnectionTree(
-        vertices=subset,
-        root=t,
-        components=components,
-        parent_component=parent_component,
-        descendants=descendants,
-        ancestors=ancestors,
-        articulation=articulation,
-    )
+    return tree
 
 
 def sum_of_masks(masks: Iterable[int]) -> int:

@@ -5,9 +5,12 @@ enumeration driven by a pluggable :class:`~repro.partition.PartitionStrategy`.
 The plan space — left-deep vs. bushy, with or without cartesian products —
 is controlled *only* by the partition strategy, exactly as in Section 3.1.
 
-Three search modes are supported and freely combinable:
+There is one search loop, :meth:`TopDownEnumerator._get_best` over
+:meth:`~TopDownEnumerator._calc_best_join`, and its three modes are
+parameters of it, freely combinable through :class:`Bounding`:
 
-* **exhaustive** (Algorithm 1): plain memoized divide and conquer;
+* **exhaustive** (Algorithm 1) is the loop with an unbounded budget:
+  plain memoized divide and conquer;
 * **predicted-cost bounding** (Section 4.2): before exploring a partition,
   compare a logical-property lower bound against the best plan found so
   far for the *current* expression (upper bound starts at infinity per
@@ -15,6 +18,15 @@ Three search modes are supported and freely combinable:
 * **accumulated-cost bounding** (Algorithm 7): thread a cost budget down
   the recursion, abandon subtrees whose budget is exhausted, and record
   failed budgets in the memo as lower bounds.
+
+Algorithm 1 is Algorithm 7 with an infinite budget; what separates the
+modes is two comparisons, both keyed on ``Bounding.ACCUMULATED``: the
+predicted-prune test (``bound >= best`` vs. ``bound > min(budget,
+best)``) and whether a child's budget is capped by the incumbent.  Each
+candidate's join methods are costed in one
+:class:`~repro.cost.batch.BatchCostKernel` row, equal to the scalar
+model bit for bit, and a plan node is built only for a candidate that
+beats the incumbent.
 
 Demand-driven interesting orders follow Algorithm 1's skeleton: the memo
 is keyed by ``(expression, order)``, ordered plans can be obtained through
@@ -42,6 +54,7 @@ from repro.anytime import (
     static_lower_bound,
 )
 from repro.catalog.query import Query
+from repro.cost.batch import batch_kernel
 from repro.cost.io_model import CostModel, JoinMethod, ProfiledCostModel
 from repro.memo import MemoTable
 from repro.obs.profile import (
@@ -142,6 +155,9 @@ class TopDownEnumerator:
         zero-overhead :data:`~repro.obs.profile.NULL_PROFILER`; when
         enabled, the memo and cost model are wrapped once here so the hot
         path pays no per-call branching beyond the wrappers themselves.
+        The wrapped model is not exactly a ``CostModel``, so the batch
+        kernel costs it in generic mode, one attributed call per
+        candidate and method.
     """
 
     def __init__(
@@ -189,6 +205,7 @@ class TopDownEnumerator:
         else:
             self._memo_hot = self.memo
             self._cost_hot = self.cost_model
+        self._batch = batch_kernel(query, self._cost_hot)
         # Pre-resolved memo entry points: the memo view is fixed for the
         # enumerator's lifetime, so one bound-method load here replaces
         # two attribute hops on every recursion step (~31 % of wall is
@@ -376,16 +393,16 @@ class TopDownEnumerator:
         return plan
 
     def _optimize(self, order: int | None, initial_plan: Plan | None) -> Plan:
-        subset = self.query.graph.all_vertices
+        # Algorithm 7 starts from the seed's cost (nothing dearer can
+        # win); Algorithm 1 only uses the seed as the first incumbent.
+        budget = INFINITY
         if Bounding.ACCUMULATED in self.bounding:
-            budgeted = self._get_best_budgeted(
-                subset, order, plan_cost(initial_plan), seed=initial_plan
-            )
-            plan = budgeted if budgeted is not None else initial_plan
-            if plan is None:
-                raise OptimizationError("no plan found within the cost budget")
-            return plan
-        plan = self._get_best(subset, order, seed=initial_plan)
+            budget = plan_cost(initial_plan)
+        plan = self._get_best(
+            self.query.graph.all_vertices, order, budget, seed=initial_plan
+        )
+        if plan is None:
+            plan = initial_plan
         if plan is None:
             raise OptimizationError("no plan exists for the query")
         return plan
@@ -401,17 +418,17 @@ class TopDownEnumerator:
 
         The workhorse of the parallel subsystem: a worker repeatedly calls
         this for frontier subsets, the memo accumulating entries across
-        calls (and across entries imported from other workers).  With
-        ``budget`` the accumulated-cost search of Algorithm 7 is used and
-        ``None`` means *no plan within budget* (a lower bound is recorded
-        in the memo); without it the exhaustive/predicted search runs and
-        ``None`` means no plan exists at all for the subset.
+        calls (and across entries imported from other workers).  With a
+        finite ``budget`` ``None`` means *no plan within budget* (a lower
+        bound is recorded in the memo); without one the search is
+        exhaustive and ``None`` means no plan exists at all for the
+        subset.
         """
         if subset == 0:
             raise OptimizationError("empty expression")
-        if budget is not None:
-            return self._get_best_budgeted(subset, order, budget)
-        return self._get_best(subset, order, seed=None)
+        return self._get_best(
+            subset, order, INFINITY if budget is None else budget
+        )
 
     def best_plan(self, subset: int, order: int | None = None) -> Plan:
         """Optimize an arbitrary sub-expression (used by tests/examples)."""
@@ -424,7 +441,7 @@ class TopDownEnumerator:
             raise OptimizationError(
                 f"subset {subset:#x} is disconnected: no CP-free plan exists"
             )
-        plan = self._get_best(subset, order, seed=None)
+        plan = self._get_best(subset, order)
         if plan is None:
             raise OptimizationError(f"no plan for subset {subset:#x}")
         return plan
@@ -489,21 +506,20 @@ class TopDownEnumerator:
             pairs = list(
                 self.partition.partitions(query.graph, subset, metrics)
             )
-            rows = self._topk_operator_cost_rows(pairs)
+            cost_row = self._batch.row
             candidates: list[
                 tuple[float, JoinMethod, Sequence[Plan], Sequence[Plan]]
             ] = []
-            for pair_index, (left, right) in enumerate(pairs):
+            for left, right in pairs:
                 left_ranked = self._topk_for(left, k)
                 if not left_ranked:
                     continue
                 right_ranked = self._topk_for(right, k)
                 if not right_ranked:
                     continue
-                row = rows[pair_index]
-                for method_index, method in enumerate(methods):
+                for operator_cost, method in zip(cost_row(left, right), methods):
                     candidates.append(
-                        (row[method_index], method, left_ranked, right_ranked)
+                        (operator_cost, method, left_ranked, right_ranked)
                     )
             metrics.topk_candidates_ranked += len(candidates)
 
@@ -516,221 +532,22 @@ class TopDownEnumerator:
             metrics.topk_expressions_ranked += 1
         return ranked
 
-    def _topk_operator_cost_rows(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> Sequence[Sequence[float]]:
-        """Per-pair operator costs, one row per pair indexed by method.
-
-        The fast path overrides this with one batched kernel call; rows
-        must follow ``JOIN_METHODS`` order so the candidate scan keeps the
-        champion loop's tie-breaking.
-        """
-        query = self.query
-        cost_model = self._cost_hot
-        operator_cost = cost_model.operator_cost
-        methods = cost_model.JOIN_METHODS
-        return [
-            [operator_cost(query, method, left, right) for method in methods]
-            for left, right in pairs
-        ]
-
-    # -- Algorithm 1 -----------------------------------------------------------
+    # -- Algorithms 1 and 7: the search loop -----------------------------------
 
     def _get_best(
-        self, subset: int, order: int | None, seed: Plan | None = None
-    ) -> Plan | None:
-        """GetBestPlan: memo lookup, then scan or join calculation."""
-        metrics = self.metrics
-        metrics.memo_lookups += 1
-        query = self.query
-        entry = self._memo_get(query, subset, order)
-        if entry is not None and entry.has_plan:
-            plan = self._memo_plan_for(query, entry)
-            if plan is not None:
-                metrics.memo_hits += 1
-                if self._tracing:
-                    self.tracer.memo_hit(subset, order)
-                return plan
-        budget_clock = self._budget_clock
-        if budget_clock is not None:
-            budget_clock.spend_node()
-        is_scan = subset & (subset - 1) == 0
-        compute_seconds: float | None = None
-        if self._tracing:
-            plan = None
-            measure = self._measure_compute
-            started = 0.0
-            if measure:
-                self._compute_stack.append(0.0)
-                started = clock()
-            self.tracer.begin(
-                subset,
-                order,
-                "scan" if is_scan else "join",
-                strategy=self.partition.name,
-            )
-            try:
-                if is_scan:
-                    plan = self._calc_best_scan(subset, order)
-                else:
-                    plan = self._calc_best_join(subset, order, seed)
-            finally:
-                self.tracer.end(cost=None if plan is None else plan.cost)
-                if measure:
-                    compute_seconds = self._finish_compute_span(started)
-        elif is_scan:
-            plan = self._calc_best_scan(subset, order)
-        else:
-            plan = self._calc_best_join(subset, order, seed)
-        if plan is not None:
-            self._memo_store_plan(
-                query, subset, order, plan, compute_seconds=compute_seconds
-            )
-        return plan
-
-    def _calc_best_scan(self, subset: int, order: int | None) -> Plan | None:
-        """CalcBestScan: cheapest access path satisfying ``order``."""
-        best: Plan | None = None
-        if order is not None:
-            unordered = self._get_best(subset, None)
-            if unordered is not None:
-                best = self._cost_hot.build_sort(self.query, unordered, order)
-        for scan in self._cost_hot.scan_plans(self.query, subset, order):
-            if scan.cost < plan_cost(best):
-                best = scan
-        return best
-
-    def _calc_best_join(
-        self, subset: int, order: int | None, seed: Plan | None
-    ) -> Plan | None:
-        """CalcBestJoin: partition, recurse, cost each join operator."""
-        query = self.query
-        cost_model = self._cost_hot
-        metrics = self.metrics
-        predicted = Bounding.PREDICTED in self.bounding
-        metrics.note_expansion((subset, order))
-        # Root-incumbent watch for anytime mode: publishing improvements as
-        # they are found keeps the best full-query plan reachable when the
-        # budget clock interrupts the recursion (one compare when idle).
-        watching = subset == self._root_watch and order == self._root_order
-
-        best = seed
-        if order is not None:
-            unordered = self._get_best(subset, None)
-            if unordered is not None:
-                sorted_plan = cost_model.build_sort(query, unordered, order)
-                if sorted_plan.cost < plan_cost(best):
-                    best = sorted_plan
-                    if watching:
-                        self._anytime_best = best
-
-        # Hot-loop locals: attribute and bound-method lookups hoisted out
-        # of the per-candidate iteration (the `enum.recurse` glue is ~31 %
-        # of wall on Table 2 topologies).
-        tracing = self._tracing
-        get_best = self._get_best
-        methods = cost_model.JOIN_METHODS
-        build_join = cost_model.build_join
-        lower_bound = cost_model.lower_bound
-        h_join_gap = self._h_join_gap
-        note_join_costed = self._note_join_costed
-
-        partitions = self.partition.partitions(query.graph, subset, metrics)
-        if self._profiling:
-            partitions = profiled_iter(
-                self.profiler, self.partition.kernel, partitions, op="partitions"
-            )
-        partitions_seen = 0
-        for left, right in partitions:
-            partitions_seen += 1
-            metrics.logical_joins_enumerated += 1
-            if predicted:
-                bound = lower_bound(query, left, right)
-                if bound >= plan_cost(best):
-                    metrics.predicted_prunes += 1
-                    if tracing:
-                        self.tracer.predicted_prune(left, right, bound)
-                    continue
-            # Every physical method takes unordered inputs, so the child
-            # lookups are hoisted out of the method loop (with a memo this
-            # is a wash; with a capacity-limited memo it avoids tripling
-            # the recomputation).
-            left_plan = None
-            right_plan = None
-            for method in methods:
-                if order is not None:
-                    produced = cost_model.join_output_order(
-                        query, method, left, right
-                    )
-                    if produced != order:
-                        continue
-                if left_plan is None:
-                    left_plan = get_best(left, None)
-                    right_plan = get_best(right, None)
-                if left_plan is None or right_plan is None:
-                    break
-                plan = build_join(query, method, left_plan, right_plan)
-                metrics.join_operators_costed += 1
-                if h_join_gap is not None:
-                    note_join_costed()
-                if plan.cost < plan_cost(best):
-                    best = plan
-                    if watching:
-                        self._anytime_best = best
-        if self._h_partitions is not None:
-            self._h_partitions.observe(partitions_seen)
-        return best
-
-    def _finish_compute_span(self, started: float) -> float:
-        """Close one exclusive-compute measurement frame.
-
-        Returns the time this expression spent computing *excluding* its
-        recursive child computations (their inclusive times accumulated in
-        this frame's stack slot), and charges the full inclusive time to
-        the parent frame, if any.  Exclusive time is what recomputing the
-        cell would cost when its children are still memoized — exactly the
-        weight a cost-aware eviction policy needs.
-        """
-        inclusive = clock() - started
-        child_total = self._compute_stack.pop()
-        if self._compute_stack:
-            self._compute_stack[-1] += inclusive
-        return max(0.0, inclusive - child_total)
-
-    def _note_join_costed(self) -> None:
-        """Feed the time-between-joins histogram (microseconds).
-
-        This is the paper's §3 optimality metric: TBNMC does at most
-        linear work between successive join operators, so the gap
-        distribution should stay flat as queries grow.
-
-        The first join costed by an enumerator observes a zero gap, so the
-        invariant ``histogram.count == join_operators_costed`` holds — and
-        keeps holding when per-worker registries of a parallel run are
-        merged (each worker contributes exactly one zero observation).
-        """
-        assert self._h_join_gap is not None  # caller guards on the histogram
-        now = clock()
-        if self._last_join_at is not None:
-            self._h_join_gap.observe((now - self._last_join_at) * 1e6)
-        else:
-            self._h_join_gap.observe(0.0)
-        self._last_join_at = now
-
-    # -- Algorithm 7 (accumulated-cost bounding) ---------------------------------
-
-    def _get_best_budgeted(
         self,
         subset: int,
         order: int | None,
-        budget: float,
+        budget: float = INFINITY,
         seed: Plan | None = None,
     ) -> Plan | None:
-        """GetBestPlan with a cost budget; returns None on failure.
+        """GetBestPlan: memo lookup, then scan or join calculation.
 
-        The memo stores either a (globally optimal) plan or the largest
-        budget that already failed.  A stored optimal plan whose cost
-        exceeds the budget proves no qualifying plan exists.
+        Returns ``None`` when no plan costs at most ``budget``.  The memo
+        stores either a (globally optimal) plan or the largest budget
+        that already failed; a stored plan dearer than the budget proves
+        no qualifying plan exists.  With the default infinite budget this
+        is Algorithm 1's lookup.
         """
         metrics = self.metrics
         metrics.memo_lookups += 1
@@ -775,9 +592,9 @@ class TopDownEnumerator:
             )
             try:
                 if is_scan:
-                    plan = self._calc_best_scan_budgeted(subset, order, budget)
+                    plan = self._calc_best_scan(subset, order, budget)
                 else:
-                    plan = self._calc_best_join_budgeted(subset, order, budget, seed)
+                    plan = self._calc_best_join(subset, order, budget, seed)
             finally:
                 self.tracer.end(
                     cost=None if plan is None else plan.cost,
@@ -786,9 +603,9 @@ class TopDownEnumerator:
                 if measure:
                     compute_seconds = self._finish_compute_span(started)
         elif is_scan:
-            plan = self._calc_best_scan_budgeted(subset, order, budget)
+            plan = self._calc_best_scan(subset, order, budget)
         else:
-            plan = self._calc_best_join_budgeted(subset, order, budget, seed)
+            plan = self._calc_best_join(subset, order, budget, seed)
         if plan is None:
             metrics.budget_failures += 1
             if budget < INFINITY:
@@ -802,29 +619,38 @@ class TopDownEnumerator:
             )
         return plan
 
-    def _calc_best_scan_budgeted(
+    def _calc_best_scan(
         self, subset: int, order: int | None, budget: float
     ) -> Plan | None:
+        """CalcBestScan: cheapest access path satisfying ``order``."""
+        query = self.query
+        cost_model = self._cost_hot
         best: Plan | None = None
         if order is not None:
-            sort_cost = self._cost_hot.sort_cost(self.query, subset)
-            unordered = self._get_best_budgeted(subset, None, budget - sort_cost)
+            sort_cost = cost_model.sort_cost(query, subset)
+            unordered = self._get_best(subset, None, budget - sort_cost)
             if unordered is not None:
-                best = self._cost_hot.build_sort(self.query, unordered, order)
-        for scan in self._cost_hot.scan_plans(self.query, subset, order):
+                best = cost_model.build_sort(query, unordered, order)
+        for scan in cost_model.scan_plans(query, subset, order):
             if scan.cost < plan_cost(best) and scan.cost <= budget:
                 best = scan
         return best
 
-    def _calc_best_join_budgeted(
+    def _calc_best_join(
         self, subset: int, order: int | None, budget: float, seed: Plan | None
     ) -> Plan | None:
+        """CalcBestJoin: partition, cost every candidate, recurse, keep
+        the cheapest plan within ``budget``."""
         query = self.query
         cost_model = self._cost_hot
         metrics = self.metrics
-        predicted = Bounding.PREDICTED in self.bounding
+        bounding = self.bounding
+        predicted = Bounding.PREDICTED in bounding
+        accumulated = Bounding.ACCUMULATED in bounding
         metrics.note_expansion((subset, order))
-        # Root-incumbent watch, as in `_calc_best_join`.
+        # Root-incumbent watch for anytime mode: publishing improvements as
+        # they are found keeps the best full-query plan reachable when the
+        # budget clock interrupts the recursion (one compare when idle).
         watching = subset == self._root_watch and order == self._root_order
 
         best: Plan | None = None
@@ -832,24 +658,30 @@ class TopDownEnumerator:
             best = seed
         if order is not None:
             sort_cost = cost_model.sort_cost(query, subset)
-            unordered = self._get_best_budgeted(subset, None, budget - sort_cost)
+            unordered = self._get_best(subset, None, budget - sort_cost)
             if unordered is not None:
                 sorted_plan = cost_model.build_sort(query, unordered, order)
                 if sorted_plan.cost < plan_cost(best):
                     best = sorted_plan
                     if watching:
                         self._anytime_best = best
+        best_cost = plan_cost(best)
 
-        # Hot-loop locals, as in `_calc_best_join`.
+        # Hot-loop locals: attribute and bound-method lookups hoisted out
+        # of the per-candidate iteration.
         tracing = self._tracing
-        get_best_budgeted = self._get_best_budgeted
-        join_methods = cost_model.JOIN_METHODS
+        get_best = self._get_best
+        cost_row = self._batch.row
+        lower_bound = self._batch.bound
+        methods = cost_model.JOIN_METHODS
         build_join = cost_model.build_join
-        lower_bound = cost_model.lower_bound
-        operator_cost_of = cost_model.operator_cost
         h_join_gap = self._h_join_gap
         note_join_costed = self._note_join_costed
 
+        # Partitions are consumed lazily, interleaved with the child
+        # recursion, exactly as Algorithm 1 reads: strategies that reuse
+        # state between calls (MinCutLazy's biconnection trees) and an
+        # anytime budget interrupting mid-scan see the same sequence.
         partitions = self.partition.partitions(query.graph, subset, metrics)
         if self._profiling:
             partitions = profiled_iter(
@@ -859,57 +691,97 @@ class TopDownEnumerator:
         for left, right in partitions:
             partitions_seen += 1
             metrics.logical_joins_enumerated += 1
-            cap = min(budget, plan_cost(best))
+            cap = budget if budget < best_cost else best_cost
             if predicted:
-                # Paper Section 4.2: explore only if the lower bound does
-                # not exceed min(B, Cost(BestPlan)).
-                bound = lower_bound(query, left, right)
-                if bound > cap:
+                # Section 4.2: Algorithm 1 prunes a partition whose lower
+                # bound reaches the incumbent; Algorithm 7 explores it
+                # while the bound does not exceed min(B, Cost(BestPlan)).
+                bound = lower_bound(left, right)
+                if bound > cap or (bound == cap and not accumulated):
                     metrics.predicted_prunes += 1
                     if tracing:
                         self.tracer.predicted_prune(left, right, bound)
                     continue
-            methods: list[tuple[float, JoinMethod]] = []
-            for method in join_methods:
-                if order is not None:
-                    produced = cost_model.join_output_order(
-                        query, method, left, right
-                    )
-                    if produced != order:
-                        continue
-                methods.append(
-                    (operator_cost_of(query, method, left, right), method)
-                )
-            if not methods:
-                continue
-            # Algorithm 7 budgets each operator separately; because every
-            # method takes unordered inputs and children return *optimal*
-            # plans, fetching the children once under the cheapest
-            # operator's budget is equivalent (a child that fails the
-            # loosest budget fails them all) and avoids re-deriving the
-            # children per method when the memo cannot absorb it.
-            cheapest = min(cost for cost, _ in methods)
-            remaining = cap * BUDGET_HEADROOM - cheapest
-            if remaining < 0:
-                continue
-            left_plan = get_best_budgeted(left, None, remaining)
+            operator_costs = cost_row(left, right)
+            chosen: Sequence[JoinMethod] = methods
+            if order is not None:
+                keep = [
+                    i
+                    for i, method in enumerate(methods)
+                    if cost_model.join_output_order(query, method, left, right)
+                    == order
+                ]
+                if not keep:
+                    continue
+                operator_costs = [operator_costs[i] for i in keep]
+                chosen = [methods[i] for i in keep]
+            remaining = INFINITY
+            if accumulated:
+                # Algorithm 7 budgets each operator separately; because
+                # every method takes unordered inputs and children return
+                # *optimal* plans, fetching the children once under the
+                # cheapest operator's budget is equivalent (a child that
+                # fails the loosest budget fails them all).
+                remaining = cap * BUDGET_HEADROOM - min(operator_costs)
+                if remaining < 0:
+                    continue
+            left_plan = get_best(left, None, remaining)
             if left_plan is None:
                 continue
-            remaining -= left_plan.cost
-            right_plan = get_best_budgeted(right, None, remaining)
+            right_plan = get_best(right, None, remaining - left_plan.cost)
             if right_plan is None:
                 continue
-            for operator_cost, method in methods:
-                total = left_plan.cost + right_plan.cost + operator_cost
-                metrics.join_operators_costed += 1
+            child_cost = left_plan.cost + right_plan.cost
+            metrics.join_operators_costed += len(operator_costs)
+            for method_index, operator_cost in enumerate(operator_costs):
                 if h_join_gap is not None:
                     note_join_costed()
-                if total <= min(budget, plan_cost(best)) and total < plan_cost(best):
+                # Same addition order as `build_join`, so the test is
+                # exact; the plan node is built only for an improvement.
+                total = child_cost + operator_cost
+                if total < best_cost and total <= budget:
                     best = build_join(
-                        query, method, left_plan, right_plan
+                        query, chosen[method_index], left_plan, right_plan
                     )
+                    best_cost = best.cost
                     if watching:
                         self._anytime_best = best
         if self._h_partitions is not None:
             self._h_partitions.observe(partitions_seen)
         return best
+
+    def _finish_compute_span(self, started: float) -> float:
+        """Close one exclusive-compute measurement frame.
+
+        Returns the time this expression spent computing *excluding* its
+        recursive child computations (their inclusive times accumulated in
+        this frame's stack slot), and charges the full inclusive time to
+        the parent frame, if any.  Exclusive time is what recomputing the
+        cell would cost when its children are still memoized — exactly the
+        weight a cost-aware eviction policy needs.
+        """
+        inclusive = clock() - started
+        child_total = self._compute_stack.pop()
+        if self._compute_stack:
+            self._compute_stack[-1] += inclusive
+        return max(0.0, inclusive - child_total)
+
+    def _note_join_costed(self) -> None:
+        """Feed the time-between-joins histogram (microseconds).
+
+        This is the paper's §3 optimality metric: TBNMC does at most
+        linear work between successive join operators, so the gap
+        distribution should stay flat as queries grow.
+
+        The first join costed by an enumerator observes a zero gap, so the
+        invariant ``histogram.count == join_operators_costed`` holds — and
+        keeps holding when per-worker registries of a parallel run are
+        merged (each worker contributes exactly one zero observation).
+        """
+        assert self._h_join_gap is not None  # caller guards on the histogram
+        now = clock()
+        if self._last_join_at is not None:
+            self._h_join_gap.observe((now - self._last_join_at) * 1e6)
+        else:
+            self._h_join_gap.observe(0.0)
+        self._last_join_at = now

@@ -40,11 +40,12 @@ __all__ = ["FLOW_RULES", "FlowRule"]
 
 #: Module prefixes forming the enumeration hot path (mirrors the
 #: syntactic ``hotpath-purity`` scope).
-_HOT_PREFIXES = ("repro.enumerator", "repro.partition", "repro.fastpath", "repro.anytime")
-
-#: Hot-scope modules exempt from effect checks: the fast-path *detection*
-#: shim exists to read the environment and probe optional imports.
-_HOT_EXEMPT_MODULES = frozenset({"repro.fastpath.detect"})
+_HOT_PREFIXES = (
+    "repro.enumerator",
+    "repro.partition",
+    "repro.cost.batch",
+    "repro.anytime",
+)
 
 #: Function names off the hot path by construction (setup/rendering).
 _COLD_FUNCTIONS = frozenset(
@@ -53,8 +54,6 @@ _COLD_FUNCTIONS = frozenset(
 
 
 def _is_hot(module: str, name: str) -> bool:
-    if module in _HOT_EXEMPT_MODULES:
-        return False
     if name in _COLD_FUNCTIONS or name.startswith("render"):
         return False
     return any(
@@ -145,10 +144,6 @@ class _HotPathEffectRule(FlowRule):
                 continue
             witness = program.effects.witness(function.qname, self.effect)
             if witness is None:
-                continue
-            if witness.qname.rpartition(".")[0] in _HOT_EXEMPT_MODULES or (
-                witness.qname.startswith("repro.fastpath.detect.")
-            ):
                 continue
             line = (
                 witness.line

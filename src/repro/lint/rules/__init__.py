@@ -20,7 +20,7 @@ from repro.lint.rules.determinism import (
     SetIterationOrderRule,
     UnseededRandomRule,
 )
-from repro.lint.rules.fastpath import FastpathGuardRule
+from repro.lint.rules.accelerators import AcceleratorGuardRule
 from repro.lint.rules.hotpath import HotPathPurityRule
 from repro.lint.rules.layering import LAYERS, ImportLayeringRule
 from repro.lint.rules.metrics import InstrumentNameRule, MetricsFieldRule
@@ -28,7 +28,7 @@ from repro.lint.rules.metrics import InstrumentNameRule, MetricsFieldRule
 __all__ = ["ALL_RULES", "FLOW_RULES", "LAYERS", "SYNTACTIC_RULES", "rule_by_name"]
 
 #: The per-file AST rules, in catalog order (determinism, bitset, hot
-#: path, fast path, metrics, layering).
+#: path, accelerators, metrics, layering).
 SYNTACTIC_RULES: tuple[Rule, ...] = (
     UnseededRandomRule(),
     SetIterationOrderRule(),
@@ -37,7 +37,7 @@ SYNTACTIC_RULES: tuple[Rule, ...] = (
     BitsetMaterializationRule(),
     PerBitLoopRule(),
     HotPathPurityRule(),
-    FastpathGuardRule(),
+    AcceleratorGuardRule(),
     MetricsFieldRule(),
     InstrumentNameRule(),
     ImportLayeringRule(),

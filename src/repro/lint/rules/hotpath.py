@@ -6,7 +6,7 @@ nothing else.  One f-string or tracer-event payload built outside such a
 guard charges every production run for observability it did not ask for —
 exactly the incidental cost DPconv shows enumeration hot paths cannot
 absorb.  This rule statically enforces the guard discipline in
-``repro.enumerator``, ``repro.partition``, ``repro.fastpath``, and
+``repro.enumerator``, ``repro.partition``, ``repro.cost.batch``, and
 ``repro.anytime``.
 """
 
@@ -75,7 +75,7 @@ class HotPathPurityRule(Rule):
     scope = (
         "repro.enumerator",
         "repro.partition",
-        "repro.fastpath",
+        "repro.cost.batch",  # the candidate scan's cost kernel
         "repro.anytime",  # seeds/k-best run inside the budgeted search
     )
 

@@ -5,7 +5,7 @@ The architecture is a strict layering (lowest first)::
     core → {spaces, catalog} → {analysis, workloads, plans}
          → {obs, cost, cache, exec} → partition
          → {memo, bottomup, prefix, transform}
-         → {enumerator, fastpath, anytime}
+         → {enumerator, anytime}
          → parallel → registry → {multiphase, serve} → experiments
          → conformance → {lint, cli}
 
@@ -54,7 +54,6 @@ LAYERS: dict[str, int] = {
     "repro.prefix": 5,
     "repro.transform": 5,
     "repro.enumerator": 6,
-    "repro.fastpath": 6,  # peers with the oracle it subclasses
     "repro.anytime": 6,  # budgets/seeds/k-best the enumerator composes
     "repro.registry": 7,
     "repro.parallel": 8,

@@ -57,85 +57,99 @@ class MinCutLazy(PartitionStrategy):
     def partitions(
         self, graph: JoinGraph, subset: int, metrics: Metrics
     ) -> Iterator[tuple[int, int]]:
-        """Yield both orientations of every minimal cut of ``subset``."""
+        """Yield both orientations of every minimal cut of ``subset``.
+
+        The recursion of Algorithm 4 runs on an explicit stack.  One
+        invocation is the triple ``(s, t, tree_old)``: ``s`` and ``t`` are
+        the bitmaps of the sets the paper calls ``S`` and ``T``, and
+        ``tree_old`` the caller's biconnection tree.  A stack frame holds
+        an invocation's pending pivots, so cuts, tree builds and
+        usability tests happen in the order of the recursive algorithm.
+        """
         if subset & (subset - 1) == 0:
             return  # singletons have no binary partitions
         if self.anchor is not None and subset >> self.anchor & 1:
             anchor = self.anchor
         else:
             anchor = (subset & -subset).bit_length() - 1
-        yield from self._mincut(graph, subset, anchor, 0, 1 << anchor, None, metrics)
+        neighbors_of_set = graph.neighbors_of_set
+        anchor_bit = 1 << anchor
+        # Frames: (s, rest, tree, pivots, next pivot index, T').
+        stack: list[tuple[int, int, BiconnectionTree, list[int], int, int]] = []
+        s = 0
+        t = anchor_bit
+        tree_old: BiconnectionTree | None = None
+        while True:
+            rest = subset & ~s
+            if s:
+                metrics.partitions_emitted += 2
+                yield (s, rest)
+                yield (rest, s)
+                # N(S), with the paper's convention N(∅) = V \ {t}.
+                neighbourhood = neighbors_of_set(s) & subset
+            else:
+                neighbourhood = subset & ~anchor_bit
+            candidates = neighbourhood & ~(s | t)
+            if candidates:  # S can be extended
+                tree = self._tree_for(graph, rest, anchor, tree_old, metrics)
+                # Pivot set P: neighbours of S outside S ∪ T whose subtree
+                # contains no other neighbour of S (maximally distant from
+                # the anchor).
+                descendants = tree.descendants
+                pivots: list[int] = []
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    v = low.bit_length() - 1
+                    if descendants[v] & rest & neighbourhood == low:
+                        pivots.append(v)
+                if pivots:
+                    stack.append((s, rest, tree, pivots, 0, t))
+            # Descend into the next pending pivot of the innermost frame.
+            while stack:
+                frame_s, frame_rest, tree, pivots, index, t_prime = stack[-1]
+                if index < len(pivots):
+                    v = pivots[index]
+                    stack[-1] = (
+                        frame_s, frame_rest, tree, pivots, index + 1,
+                        t_prime | tree.ancestors[v] & frame_rest,
+                    )
+                    s = frame_s | tree.descendants[v] & frame_rest
+                    t = t_prime
+                    tree_old = tree
+                    break
+                stack.pop()
+            else:
+                return
 
-    def _mincut(
+    def _tree_for(
         self,
         graph: JoinGraph,
-        subset: int,
+        rest: int,
         anchor: int,
-        s: int,
-        t: int,
         tree_old: BiconnectionTree | None,
         metrics: Metrics,
-    ) -> Iterator[tuple[int, int]]:
-        """Recursive body of Algorithm 4 over ``G|_subset``.
-
-        ``s`` and ``t`` are the bitmaps of the sets the paper calls ``S``
-        and ``T``; ``anchor`` is the seed vertex of ``T``.
-        """
-        rest = subset & ~s
-        if s:
-            metrics.partitions_emitted += 2
-            yield (s, rest)
-            yield (rest, s)
-
-        # N(S), with the paper's convention N(∅) = V \ {t}.
-        if s:
-            neighbourhood = graph.neighbors_of_set(s, within=subset) & ~s
-        else:
-            neighbourhood = subset & ~(1 << anchor)
-        if neighbourhood & ~t == 0:
-            return  # S cannot be extended
-
-        tree: BiconnectionTree | None = None
+    ) -> BiconnectionTree:
+        """Reuse ``tree_old`` if Algorithm 5 allows, else build a tree."""
         if tree_old is not None and self.reuse_trees:
             metrics.usability_tests += 1
             if tree_old.is_usable_for(rest, size3_tweak=self.size3_tweak):
                 metrics.usability_hits += 1
-                tree = tree_old
                 if self.tracer.enabled:
                     self.tracer.event("bcc_tree_reused", rest=rest)
-        if tree is None:
-            if self.profiler.enabled:
-                self.profiler.enter(KERNEL_BCC_BUILD)
-                tree = build_bcc_tree(graph, rest, anchor)
-                self.profiler.exit()
-            else:
-                tree = build_bcc_tree(graph, rest, anchor)
-            metrics.bcc_trees_built += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "bcc_tree_built", rest=rest, reuse_denied=tree_old is not None
-                )
-
-        # Pivot set P: neighbours of S outside S ∪ T whose subtree contains
-        # no other neighbour of S (maximally distant from the anchor).
-        blocked = s | t
-        pivots: list[int] = []
-        candidates = neighbourhood & ~blocked
-        remaining = candidates
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            v = low.bit_length() - 1
-            if tree.desc(v, within=rest) & neighbourhood == low:
-                pivots.append(v)
-
-        t_prime = t
-        for v in pivots:
-            extension = tree.desc(v, within=rest)
-            yield from self._mincut(
-                graph, subset, anchor, s | extension, t_prime, tree, metrics
+                return tree_old
+        if self.profiler.enabled:
+            self.profiler.enter(KERNEL_BCC_BUILD)
+            tree = build_bcc_tree(graph, rest, anchor)
+            self.profiler.exit()
+        else:
+            tree = build_bcc_tree(graph, rest, anchor)
+        metrics.bcc_trees_built += 1
+        if self.tracer.enabled:
+            self.tracer.event(
+                "bcc_tree_built", rest=rest, reuse_denied=tree_old is not None
             )
-            t_prime |= tree.anc(v, within=rest)
+        return tree
 
 
 class MinCutEager(MinCutLazy):

@@ -30,13 +30,6 @@ cost-aware GreedyDual policy.  Policies: ``lru``, ``smallest``,
 ``cost``, ``profile``.  Both suffixes compose in either order
 (``TBNmc%cost:64@2`` ≡ ``TBNmc@2%cost:64``).
 
-A trailing ``!fast`` requests the conformance-checked fast path
-(:mod:`repro.fastpath`): the same top-down search with frontier-batched
-costing, bit-identical plans.  It composes with the other suffixes in
-any order; the canonical form puts it last (``TBNmc@2%cost:64!fast``).
-``REPRO_FASTPATH=off`` overrides the suffix everywhere (see
-:func:`repro.fastpath.detect.resolve_fastpath` for the precedence).
-
 A trailing ``?budget`` requests anytime search (``docs/anytime.md``):
 ``TBNmc?250ms`` bounds wall clock, ``TBNmc?5000n`` bounds memo-missed
 expression computations (deterministic), ``TBNmc?250ms:5000n`` both.
@@ -44,13 +37,15 @@ The optimizer's ``optimize()`` then returns the best plan found within
 the budget and reports a certified optimality-gap bound on its
 ``anytime`` attribute.  A trailing ``^k`` sets the default rank depth of
 ``optimize_topk()`` (``TBNmc^3`` ranks the 3 cheapest distinct plans).
-Both compose with ``%policy`` and ``!fast`` in any order — canonical
-form ``TBNmc@2%cost:64?250ms^3!fast`` — but are top-down only, and
-``^k`` is serial only (ranked cells live in one memo).
+Both compose with ``@N`` and ``%policy`` in any order — canonical form
+``@N %policy ?budget ^k``, e.g. ``TBNmc@2%cost:64?250ms^3`` — but are
+top-down only, and ``^k`` is serial only (ranked cells live in one
+memo).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -63,8 +58,6 @@ from repro.cost.io_model import CostModel
 from repro.cache.costing import CostProfile
 from repro.cache.policies import POLICY_NAMES
 from repro.enumerator import Bounding, TopDownEnumerator
-from repro.fastpath.detect import resolve_fastpath
-from repro.fastpath.enumerator import FastTopDownEnumerator
 from repro.memo import GlobalPlanCache, MemoTable
 from repro.obs.profile import KernelProfiler
 from repro.obs.registry import MetricsRegistry
@@ -92,7 +85,6 @@ __all__ = [
     "parse_name",
     "resolve_alias",
     "split_budget",
-    "split_fastpath",
     "split_memo_policy",
     "split_topk",
     "split_workers",
@@ -184,7 +176,7 @@ def split_memo_policy(name: str) -> tuple[str, MemoSpec | None]:
     if not sep:
         return name, None
     for index, char in enumerate(tail):
-        if char in "@!?^":
+        if char in "@?^":
             base += tail[index:]
             tail = tail[:index]
             break
@@ -228,7 +220,7 @@ def split_workers(name: str) -> tuple[str, int | None]:
         return name, None
     token, rest = tail, ""
     for index, char in enumerate(tail):
-        if char in "%!?^":
+        if char in "%?^":
             token, rest = tail[:index], tail[index:]
             break
     try:
@@ -241,30 +233,6 @@ def split_workers(name: str) -> tuple[str, int | None]:
             "expected e.g. TBNmc@4"
         )
     return base + rest, workers
-
-
-def split_fastpath(name: str) -> tuple[str, bool]:
-    """Split a ``!fast`` suffix out of an algorithm name.
-
-    The suffix composes with ``@N`` and ``%policy`` in any order
-    (``TBNmc!fast@2`` ≡ ``TBNmc@2!fast``): whatever suffix text follows
-    the ``fast`` token is reattached to the returned base.  Names
-    without ``!`` return ``(name, False)``.
-    """
-    base, sep, tail = name.partition("!")
-    if not sep:
-        return name, False
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "@%?^":
-            token, rest = tail[:index], tail[index:]
-            break
-    if token.lower() != "fast":
-        raise ValueError(
-            f"unknown !-suffix in algorithm name {name!r}; "
-            "the only recognised form is !fast"
-        )
-    return base + rest, True
 
 
 def split_budget(name: str) -> tuple[str, Budget | None]:
@@ -281,7 +249,7 @@ def split_budget(name: str) -> tuple[str, Budget | None]:
         return name, None
     token, rest = tail, ""
     for index, char in enumerate(tail):
-        if char in "@%!^":
+        if char in "@%^":
             token, rest = tail[:index], tail[index:]
             break
     try:
@@ -305,7 +273,7 @@ def split_topk(name: str) -> tuple[str, int | None]:
         return name, None
     token, rest = tail, ""
     for index, char in enumerate(tail):
-        if char in "@%!?":
+        if char in "@%?":
             token, rest = tail[:index], tail[index:]
             break
     try:
@@ -328,11 +296,10 @@ def resolve_alias(name: str) -> str:
     alias itself carries (``parallel@2`` resolves to ``TBNmc@2``); a
     ``%policy`` memo suffix is carried along unchanged
     (``mincutlazy%cost:64`` resolves to ``TBNmc%cost:64``), as are
-    ``?budget`` and ``^k`` suffixes and a ``!fast`` suffix, normalised
-    to the canonical order ``@N %policy ?budget ^k !fast``
-    (``mincutlazy!fast?100n@2`` resolves to ``TBNmc@2?100n!fast``).
+    ``?budget`` and ``^k`` suffixes, normalised to the canonical order
+    ``@N %policy ?budget ^k`` (``mincutlazy?100n@2`` resolves to
+    ``TBNmc@2?100n``).
     """
-    name, fast = split_fastpath(name)
     name, budget = split_budget(name)
     name, top_k = split_topk(name)
     name, memo_spec = split_memo_policy(name)
@@ -363,20 +330,18 @@ def resolve_alias(name: str) -> str:
         resolved_base += f"?{budget.token()}"
     if top_k is not None:
         resolved_base += f"^{top_k}"
-    if fast:
-        resolved_base += "!fast"
     return resolved_base
 
 
+@functools.lru_cache(maxsize=256)
 def parse_name(name: str) -> AlgorithmSpec:
     """Parse a Table 1 style algorithm name (or a friendly alias).
 
-    ``@N`` worker-count, ``%policy`` memo, ``?budget``, ``^k``, and
-    ``!fast`` suffixes are accepted and ignored: the spec describes the
-    underlying serial algorithm.
+    ``@N`` worker-count, ``%policy`` memo, ``?budget`` and ``^k``
+    suffixes are accepted and ignored: the spec describes the underlying
+    serial algorithm.
     """
-    base, _fast = split_fastpath(resolve_alias(name))
-    base, _budget = split_budget(base)
+    base, _budget = split_budget(resolve_alias(name))
     base, _top_k = split_topk(base)
     base, _memo_spec = split_memo_policy(base)
     base, _workers = split_workers(base)
@@ -455,8 +420,6 @@ def conformance_matrix(
             f"TBNmc%cost:{memo_capacity}",
             f"TBNmc%profile:{memo_capacity}",
             f"TBNmc%lru:{memo_capacity}:{memo_capacity}",
-            "TBNmc!fast",
-            "TBNmcAP!fast",
         ),
         "left-deep-cp-free": (
             "TLNmc",
@@ -465,20 +428,17 @@ def conformance_matrix(
             "TLNmcA",
             "TLNmcP",
             "TLNmcAP",
-            "TLNmc!fast",
         ),
         "bushy-with-cp": (
             "TBCnaive",
             "BBCnaive",
             "BBCsize",
             "TBCnaiveAP",
-            "TBCnaive!fast",
         ),
         "left-deep-with-cp": (
             "TLCnaive",
             "BLCsize",
             "TLCnaiveAP",
-            "TLCnaive!fast",
         ),
     }
 
@@ -519,8 +479,6 @@ def make_optimizer(
     memo_cold_capacity: int | None = None,
     memo_profile: CostProfile | None = None,
     global_cache: GlobalPlanCache | None = None,
-    fastpath: str | None = None,
-    fastpath_backend: str | None = None,
     budget: Budget | None = None,
     top_k: int | None = None,
 ):
@@ -550,17 +508,6 @@ def make_optimizer(
     memo's shared read-through tier.  These are mutually exclusive with
     passing a prebuilt ``memo``.
 
-    The fast path (:mod:`repro.fastpath`) is selected by a ``!fast``
-    suffix on ``name`` and/or the explicit ``fastpath`` override
-    (``"on"`` | ``"off"`` | ``"auto"``/``None``), subject to the
-    ``REPRO_FASTPATH`` environment escape hatch — precedence per
-    :func:`repro.fastpath.detect.resolve_fastpath`.  It requires a
-    top-down algorithm and is incompatible with kernel profiling: an
-    *explicitly* requested fast path raises on either conflict, while
-    an ambient ``REPRO_FASTPATH=on`` silently keeps the oracle.
-    ``fastpath_backend`` pins the batch backend (``"python"`` |
-    ``"numpy"``) for serial fast-path runs; workers auto-detect.
-
     The anytime budget comes from a ``?budget`` suffix on ``name``
     and/or the explicit ``budget`` argument (explicit wins) and becomes
     the enumerator's default: ``optimize()`` then runs the anytime
@@ -571,12 +518,7 @@ def make_optimizer(
     parallel ``@N`` run bounds the finishing pass (the level rounds run
     unbudgeted in worker processes).
     """
-    if fastpath not in {None, "auto", "on", "off"}:
-        raise ValueError(
-            f"invalid fastpath override {fastpath!r}; expected auto, on, or off"
-        )
-    resolved, fast_requested = split_fastpath(resolve_alias(name))
-    base, suffix_budget = split_budget(resolved)
+    base, suffix_budget = split_budget(resolve_alias(name))
     base, suffix_topk = split_topk(base)
     base, memo_spec = split_memo_policy(base)
     base, suffix_workers = split_workers(base)
@@ -599,23 +541,6 @@ def make_optimizer(
             f"{name!r}: ranked enumeration is serial-only (ranked memo "
             "cells live in one memo); drop ^k or the @N worker count"
         )
-    use_fast = resolve_fastpath(fast_requested, fastpath)
-    fast_explicit = fast_requested or fastpath == "on"
-    if use_fast and not spec.top_down:
-        if fast_explicit:
-            raise ValueError(
-                f"{name!r}: the fast path accelerates top-down partition "
-                "search; bottom-up algorithms have no batched equivalent"
-            )
-        use_fast = False  # ambient REPRO_FASTPATH=on: keep the oracle
-    if use_fast and profiler is not None:
-        if fast_explicit:
-            raise ValueError(
-                f"{name!r}: kernel profiling requires the oracle path "
-                "(its frames attribute scalar cost calls); drop !fast "
-                "or pass fastpath='off'"
-            )
-        use_fast = False  # ambient REPRO_FASTPATH=on: keep the oracle
 
     wants_memo_config = (
         memo_spec is not None
@@ -665,7 +590,7 @@ def make_optimizer(
 
         return ParallelEnumerator(
             query,
-            base + "!fast" if use_fast else base,
+            base,
             workers,
             policy=parallel_policy,
             cost_model=cost_model,
@@ -679,20 +604,6 @@ def make_optimizer(
             budget=budget,
         )
     if spec.top_down:
-        if use_fast:
-            return FastTopDownEnumerator(
-                query,
-                _partition_for(spec),
-                cost_model,
-                backend=fastpath_backend,
-                bounding=spec.bounding,
-                memo=memo,
-                metrics=metrics,
-                tracer=tracer,
-                registry=registry,
-                default_budget=budget,
-                default_topk=top_k,
-            )
         return TopDownEnumerator(
             query,
             _partition_for(spec),

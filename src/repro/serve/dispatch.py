@@ -45,7 +45,6 @@ class Dispatcher:
         workers: int = 2,
         tracer: Tracer | None = None,
         collect_optimizer_metrics: bool = False,
-        fastpath: str | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -55,7 +54,6 @@ class Dispatcher:
         self._worker_count = workers
         self._tracer = tracer
         self._collect = collect_optimizer_metrics
-        self._fastpath = fastpath
         self._caches: dict[str, GlobalPlanCache] = {}
         self._caches_lock = threading.Lock()
         # Tracers record onto one span stack; serialize traced runs.
@@ -112,7 +110,6 @@ class Dispatcher:
                     registry=registry,
                     tracer=tracer,
                     global_cache=cache,
-                    fastpath=self._fastpath,
                     budget=request.budget,
                     top_k=request.top_k,
                 )
@@ -120,7 +117,6 @@ class Dispatcher:
                 optimizer = make_optimizer(
                     request.resolved, request.query,
                     registry=registry, tracer=tracer,
-                    fastpath=self._fastpath,
                 )
             if request.top_k is not None:
                 ranked = optimizer.optimize_topk(request.top_k)

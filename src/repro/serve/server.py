@@ -73,7 +73,6 @@ class PlanServer:
         admission: AdmissionController | None = None,
         tracer: Tracer | None = None,
         collect_optimizer_metrics: bool = False,
-        fastpath: str | None = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -96,7 +95,6 @@ class PlanServer:
             workers=dispatch_workers,
             tracer=tracer,
             collect_optimizer_metrics=collect_optimizer_metrics,
-            fastpath=fastpath,
         )
         self._server: asyncio.AbstractServer | None = None
         self._stopping = False

@@ -8,8 +8,8 @@ layer on top (``docs/anytime.md``):
   counter conserved against the plain path;
 * node budgets are **monotone**: more nodes never worsen the returned
   plan, and the gap bound certifies a sound floor at every prefix;
-* the fast path **ranks identically** to the oracle, and both match an
-  independent bottom-up k-best DP oracle (:func:`tests.helpers.exhaustive_topk`);
+* ranked lists match an independent bottom-up k-best DP oracle
+  (:func:`tests.helpers.exhaustive_topk`);
 * wall-clock deadlines terminate and stay sound (``stress`` tier, being
   nondeterministic by nature).
 """
@@ -210,19 +210,6 @@ class TestAnytimeProperties:
 
 
 class TestTopKProperties:
-    @given(topology=topologies, n=sizes, seed=seeds,
-           k=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=25, deadline=None)
-    def test_fastpath_oracle_parity(self, topology, n, seed, k):
-        """``!fast`` ranks bit-identically to the scalar oracle."""
-        query = make_query(topology, n, seed)
-        oracle = make_optimizer(
-            "TBNmcAP", query, fastpath="off"
-        ).optimize_topk(k)
-        fast = make_optimizer("TBNmcAP!fast", query).optimize_topk(k)
-        assert_ranked(oracle)
-        assert [p.to_wire() for p in fast] == [p.to_wire() for p in oracle]
-
     @given(topology=topologies, n=sizes, seed=seeds,
            k=st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)

@@ -72,7 +72,7 @@ class TestAccumulatedCostMechanics:
             query, MinCutLazy(), bounding=Bounding.ACCUMULATED
         )
         full = query.graph.all_vertices
-        assert fresh._get_best_budgeted(full, None, optimum / 10) is None
+        assert fresh._get_best(full, None, optimum / 10) is None
         entry = fresh.memo.get(query, full, None)
         assert entry is not None and entry.lower_bound is not None
 
@@ -82,10 +82,10 @@ class TestAccumulatedCostMechanics:
         optimum = enum.optimize().cost
         fresh = TopDownEnumerator(query, MinCutLazy(), bounding=Bounding.ACCUMULATED)
         full = query.graph.all_vertices
-        assert fresh._get_best_budgeted(full, None, optimum / 10) is None
+        assert fresh._get_best(full, None, optimum / 10) is None
         before = fresh.metrics.expressions_expanded
         # Equal-or-smaller budget: answered from the stored bound.
-        assert fresh._get_best_budgeted(full, None, optimum / 20) is None
+        assert fresh._get_best(full, None, optimum / 20) is None
         assert fresh.metrics.expressions_expanded == before
         assert fresh.metrics.memo_bound_hits >= 1
 
@@ -94,8 +94,8 @@ class TestAccumulatedCostMechanics:
         optimum = TopDownEnumerator(query, MinCutLazy()).optimize().cost
         enum = TopDownEnumerator(query, MinCutLazy(), bounding=Bounding.ACCUMULATED)
         full = query.graph.all_vertices
-        assert enum._get_best_budgeted(full, None, optimum * 0.5) is None
-        plan = enum._get_best_budgeted(full, None, optimum * 2)
+        assert enum._get_best(full, None, optimum * 0.5) is None
+        plan = enum._get_best(full, None, optimum * 2)
         assert plan is not None
         assert plan.cost == pytest.approx(optimum)
 
@@ -103,7 +103,7 @@ class TestAccumulatedCostMechanics:
         query = make_query("chain", 4, 5)
         optimum = TopDownEnumerator(query, MinCutLazy()).optimize().cost
         enum = TopDownEnumerator(query, MinCutLazy(), bounding=Bounding.ACCUMULATED)
-        plan = enum._get_best_budgeted(query.graph.all_vertices, None, optimum)
+        plan = enum._get_best(query.graph.all_vertices, None, optimum)
         assert plan is not None and plan.cost <= optimum + 1e-9
 
     def test_reexpansion_pathology_on_stars(self):

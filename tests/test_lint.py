@@ -341,27 +341,23 @@ class TestImportLayering:
         assert LAYERS["repro.partition"] < LAYERS["repro.enumerator"]
         assert LAYERS["repro.enumerator"] < LAYERS["repro.parallel"]
         assert LAYERS["repro.conformance"] < LAYERS["repro.cli"]
-        # The fast path subclasses the oracle enumerator and is built by
-        # the registry: same rank as the former, below the latter.
-        assert LAYERS["repro.fastpath"] == LAYERS["repro.enumerator"]
-        assert LAYERS["repro.fastpath"] < LAYERS["repro.registry"]
 
 
-class TestFastpathGuard:
+class TestAcceleratorGuard:
     def test_flags_bare_numpy_import(self):
         found = findings("import numpy\n", module="repro.cost.io_model")
-        assert [f.rule for f in found] == ["fastpath-guard"]
+        assert [f.rule for f in found] == ["accelerator-guard"]
         assert found[0].severity == ERROR
         assert "numpy" in found[0].message
 
     def test_flags_from_import_and_submodules(self):
-        assert "fastpath-guard" in rule_names(
-            "from numpy import ndarray\n", module="repro.fastpath.batch"
+        assert "accelerator-guard" in rule_names(
+            "from numpy import ndarray\n", module="repro.cost.batch"
         )
-        assert "fastpath-guard" in rule_names(
+        assert "accelerator-guard" in rule_names(
             "import numpy.linalg\n", module="repro.analysis.counting"
         )
-        assert "fastpath-guard" in rule_names(
+        assert "accelerator-guard" in rule_names(
             "from mypyc.build import mypycify\n", module="fixture"
         )
 
@@ -372,11 +368,12 @@ class TestFastpathGuard:
             import numpy
             return numpy.ceil
         """
-        assert "fastpath-guard" in rule_names(
-            source, module="repro.fastpath.batch"
+        assert "accelerator-guard" in rule_names(
+            source, module="repro.cost.batch"
         )
 
-    def test_detection_shim_is_exempt(self):
+    def test_optional_import_probe_is_flagged_too(self):
+        # No module is exempt: a guarded probe still loads numpy.
         source = """\
         def numpy_or_none():
             try:
@@ -385,19 +382,12 @@ class TestFastpathGuard:
                 return None
             return numpy
         """
-        assert rule_names(source, module="repro.fastpath.detect") == []
-
-    def test_shim_consumers_are_clean(self):
-        assert rule_names(
-            "from repro.fastpath.detect import numpy_or_none\n"
-            "np = numpy_or_none()\n",
-            module="repro.fastpath.batch",
-        ) == []
+        assert "accelerator-guard" in rule_names(source, module="repro.cost")
 
     def test_pragma_suppresses(self):
         assert rule_names(
             "from mypyc.build import mypycify"
-            "  # lint: disable=fastpath-guard -- build-time only\n"
+            "  # lint: disable=accelerator-guard -- build-time only\n"
         ) == []
 
 

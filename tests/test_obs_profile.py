@@ -114,9 +114,19 @@ class TestInstrumentedRun:
 
     def test_plan_cost_unchanged_by_profiling(self):
         query = weighted_query(clique(8), 5)
-        bare = make_optimizer("TBNmc", query).optimize()
-        profiled, _profiler = self._run()
-        assert plan_cost(profiled) == plan_cost(bare)
+        for algorithm in ("TBNmc", "TBNmcAP"):
+            bare_optimizer = make_optimizer(algorithm, query)
+            bare = bare_optimizer.optimize()
+            profiled_optimizer = make_optimizer(
+                algorithm, query, profiler=RecordingProfiler()
+            )
+            profiled = profiled_optimizer.optimize()
+            assert plan_cost(profiled) == plan_cost(bare), algorithm
+            # Profiling attributes the work; it never changes the work.
+            assert (
+                profiled_optimizer.metrics.as_dict()
+                == bare_optimizer.metrics.as_dict()
+            ), algorithm
 
     def test_deterministic_across_runs(self):
         _plan1, first = self._run()

@@ -1,6 +1,12 @@
 """Tests for the Table 1 algorithm registry."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.bottomup import DPccp, DPsize, DPsub
 from repro.enumerator import Bounding, TopDownEnumerator
@@ -79,6 +85,19 @@ class TestConstruction:
         assert isinstance(make_optimizer("BBNccp", query), DPccp)
         assert isinstance(make_optimizer("BBNnaive", query), DPsub)
         assert isinstance(make_optimizer("BLNsize", query), DPsize)
+        # The optimizer is pure python: a fresh interpreter that builds
+        # and runs TBNmc never loads numpy.
+        probe = (
+            "import sys\n"
+            "from repro.registry import make_optimizer\n"
+            "from repro.workloads import chain\n"
+            "from repro.workloads.weights import weighted_query\n"
+            "make_optimizer('TBNmc', weighted_query(chain(5), 1)).optimize()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
     def test_memo_rejected_for_bottom_up(self):
         from repro.memo import MemoTable

@@ -140,8 +140,11 @@ class TestProtocol:
             build_request({"query": DSL, "graph": GRAPH})
 
     def test_bad_algorithm_and_tenant(self):
-        with pytest.raises(RequestError):
-            build_request({"algorithm": "nonsense", "query": DSL})
+        # The removed batch-costing suffix is an unknown name like any
+        # other: a structured error, not a crash.
+        for algorithm in ("nonsense", "TBNmc!fast"):
+            with pytest.raises(RequestError):
+                build_request({"algorithm": algorithm, "query": DSL})
         with pytest.raises(RequestError):
             build_request({"tenant": "", "query": DSL})
 
