@@ -18,7 +18,8 @@ __all__ = ["Metrics"]
 class Metrics:
     """Counters accumulated during one optimization / partitioning run."""
 
-    #: Ordered partitions emitted by the Partition function.
+    #: Ordered partitions emitted by the Partition function.  Counts work
+    #: actually done: a replayed candidate frontier emits nothing.
     partitions_emitted: int = 0
     #: Join operators created and costed (physical operators, all methods).
     join_operators_costed: int = 0
@@ -28,11 +29,14 @@ class Metrics:
     connectivity_tests: int = 0
     #: Connectivity tests that failed (wasted work).
     failed_connectivity_tests: int = 0
-    #: Biconnection trees built (MinCutEager/MinCutLazy).
+    #: Biconnection trees built (MinCutEager/MinCutLazy); none while a
+    #: candidate frontier is replayed.
     bcc_trees_built: int = 0
-    #: Usability tests run (MinCutLazy).
+    #: Usability tests run (MinCutLazy); none while a candidate frontier
+    #: is replayed.
     usability_tests: int = 0
-    #: Usability tests that allowed reuse of the parent tree.
+    #: Usability tests that allowed reuse of the parent tree (work done,
+    #: like ``usability_tests``).
     usability_hits: int = 0
     #: Memo lookups and hits.
     memo_lookups: int = 0

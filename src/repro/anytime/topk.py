@@ -48,15 +48,16 @@ def ranked_scan_plans(plans: Sequence[Plan], k: int) -> tuple[Plan, ...]:
 def kbest_join_plans(
     k: int,
     candidates: Sequence[Candidate[_Method]],
-    build: Callable[[_Method, Plan, Plan], Plan],
+    build: Callable[[_Method, Plan, Plan, float], Plan],
 ) -> tuple[Plan, ...]:
     """The k cheapest distinct join plans over ``candidates``.
 
     ``candidates`` must be in the enumerator's candidate-scan order
     (pairs outer, methods inner) — the order is the tie-break that keeps
     rank 0 bit-identical to the champion loop.  ``build`` assembles one
-    plan from a method and two child plans; it is called at most ``k``
-    times (only popped frontier corners materialize).
+    plan from a method, two child plans and the candidate's operator
+    cost; it is called at most ``k`` times (only popped frontier corners
+    materialize).
     """
     heap: list[tuple[float, int, int, int]] = []
     for index, (opcost, _method, lefts, rights) in enumerate(candidates):
@@ -71,7 +72,7 @@ def kbest_join_plans(
     while heap and len(out) < k:
         _cost, index, i, j = pop(heap)
         opcost, method, lefts, rights = candidates[index]
-        out.append(build(method, lefts[i], rights[j]))
+        out.append(build(method, lefts[i], rights[j], opcost))
         if i + 1 < len(lefts):
             corner = (index, i + 1, j)
             if corner not in seen:

@@ -131,8 +131,8 @@ class BottomUpOptimizer(ABC):
             # Same addition order as `build_join`, so the test is exact.
             total = child_cost + operator_cost
             if incumbent is None or total < incumbent.cost:
-                incumbent = self.cost_model.build_join(
-                    self.query, method, left_plan, right_plan
+                incumbent = self._batch.join(
+                    method, left_plan, right_plan, operator_cost
                 )
         self.plans[combined] = incumbent
 

@@ -325,12 +325,18 @@ class ProfiledMemoCalls:
         budget: float,
         *,
         compute_seconds: float | None = None,
+        frontier: Any = None,
     ) -> None:
         profiler = self._profiler
         profiler.enter(KERNEL_MEMO)
         try:
             self._memo.store_lower_bound(
-                query, subset, order, budget, compute_seconds=compute_seconds
+                query,
+                subset,
+                order,
+                budget,
+                compute_seconds=compute_seconds,
+                frontier=frontier,
             )
         finally:
             profiler.count(KERNEL_MEMO, "stores")

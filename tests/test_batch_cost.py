@@ -1,7 +1,8 @@
 """Tests for ``repro.cost.batch``: the candidate scan's cost kernel.
 
 The contract is *bit-identical parity*: every kernel row entry and bound
-equals the scalar model's output exactly (``==``, no tolerance).  Plan
+equals the scalar model's output exactly (``==``, no tolerance), and
+every plan node the kernel builds equals the model's ``build_join``.  Plan
 and counter identity of the search loop built on the kernel is pinned by
 ``tests/test_golden_plans.py``.
 """
@@ -16,6 +17,7 @@ from repro.cost.batch import BatchCostKernel, IoKernel, batch_kernel
 from repro.cost.io_model import ProfiledCostModel, external_sort_cost
 from repro.obs.profile import RecordingProfiler
 from repro.partition import MinCutLazy
+from repro.plans.physical import Plan
 from repro.workloads import chain, clique, cycle, star
 from repro.workloads.skewed import PROFILES, skewed_query
 from repro.workloads.weights import weighted_query
@@ -71,6 +73,35 @@ class TestBatchKernelParity:
             assert kernel.bound(left, right) == model.lower_bound(
                 query, left, right
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        topology=st.sampled_from(sorted(TOPOLOGIES)),
+        n=st.integers(min_value=4, max_value=7),
+        profile=st.sampled_from(PROFILES),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        model_kind=st.sampled_from(["io", "cout"]),
+        child_costs=st.tuples(
+            st.floats(min_value=0.0, max_value=1e12),
+            st.floats(min_value=0.0, max_value=1e12),
+        ),
+    )
+    def test_join_equals_build_join(
+        self, topology, n, profile, seed, model_kind, child_costs
+    ):
+        """Kernel-built join nodes == ``model.build_join``, field for field."""
+        query = skewed_query(TOPOLOGIES[topology](n), profile, seed)
+        model = CoutCostModel() if model_kind == "cout" else CostModel()
+        kernel = batch_kernel(query, model)
+        left_cost, right_cost = child_costs
+        for left, right in _frontier_pairs(query, max_pairs=60):
+            left_plan = Plan("scan", left, left_cost, query.cardinality(left))
+            right_plan = Plan("scan", right, right_cost, query.cardinality(right))
+            row = kernel.row(left, right)
+            for method, operator_cost in zip(model.JOIN_METHODS, row):
+                assert kernel.join(
+                    method, left_plan, right_plan, operator_cost
+                ) == model.build_join(query, method, left_plan, right_plan)
 
     def test_generic_model_falls_back_to_scalar_hooks(self):
         class DoubledCout(CoutCostModel):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import Metrics
+from repro.anytime import Budget
 from repro.enumerator import Bounding, TopDownEnumerator
+from repro.memo import MemoTable
 from repro.partition import MinCutLazy, MinCutLeftDeep
 from repro.plans import validate_plan
 from repro.plans.physical import INFINITY
@@ -189,3 +191,87 @@ class TestInitialPlanSeeding:
         enum = TopDownEnumerator(query, MinCutLazy(), bounding=Bounding.ACCUMULATED)
         plan = enum.optimize()
         assert plan.cost < INFINITY
+
+
+def _counting_partitions(enum):
+    """Count the partition strategy's calls on one enumerator."""
+    calls = []
+    strategy = enum.partition
+    partitions = strategy.partitions
+
+    def counted(graph, subset, metrics):
+        calls.append(subset)
+        return partitions(graph, subset, metrics)
+
+    strategy.partitions = counted
+    return calls
+
+
+def _frontier_cells(enum):
+    """``(subset, frontier)`` for every hot memo cell holding a frontier."""
+    cells = []
+    for subset, order in enum.memo.keys():
+        entry = enum.memo.peek(enum.query, subset, order)
+        if entry is not None and entry.frontier is not None:
+            cells.append((subset, entry.frontier))
+    return cells
+
+
+class TestFrontierReplay:
+    """A failed expansion's candidate frontier is replayed, not rebuilt."""
+
+    @pytest.mark.parametrize(
+        "topology, n, seed", [("star", 9, 23), ("chain", 9, 3)]
+    )
+    def test_partition_runs_once_per_expression(self, topology, n, seed):
+        query = make_query(topology, n, seed)
+        enum = TopDownEnumerator(
+            query, MinCutLazy(), bounding=Bounding.ACCUMULATED
+        )
+        calls = _counting_partitions(enum)
+        plan = enum.optimize()
+        metrics = enum.metrics
+        assert metrics.expressions_reexpanded > 0
+        assert len(calls) == metrics.unique_expressions_expanded
+        assert len(set(calls)) == len(calls)
+        exhaustive = TopDownEnumerator(query, MinCutLazy()).optimize()
+        assert plan == exhaustive
+
+    def test_interrupted_run_stores_only_complete_frontiers(self):
+        query = make_query("star", 10, 23)
+        for nodes in (40, 200, 700):
+            enum = TopDownEnumerator(
+                query,
+                MinCutLazy(),
+                bounding=Bounding.ACCUMULATED | Bounding.PREDICTED,
+            )
+            enum.optimize(budget=Budget.nodes(nodes))
+            assert not enum.anytime.completed
+            cells = _frontier_cells(enum)
+            assert cells
+            width = len(enum.cost_model.JOIN_METHODS)
+            for subset, frontier in cells:
+                pairs = list(
+                    MinCutLazy().partitions(query.graph, subset, Metrics())
+                )
+                assert frontier.lefts == [left for left, _ in pairs]
+                assert len(frontier.costs) == (2 + width) * len(pairs)
+
+    def test_capped_memo_repartitions_evicted_cells(self):
+        query = make_query("star", 9, 23)
+        enum = TopDownEnumerator(
+            query,
+            MinCutLazy(),
+            bounding=Bounding.ACCUMULATED,
+            memo=MemoTable(capacity=24),
+        )
+        calls = _counting_partitions(enum)
+        plan = enum.optimize()
+        assert enum.metrics.memo_evictions > 0
+        assert len(calls) > enum.metrics.unique_expressions_expanded
+        assert plan == TopDownEnumerator(query, MinCutLazy()).optimize()
+
+    def test_exhaustive_search_records_no_frontier(self):
+        enum = TopDownEnumerator(make_query("star", 8, 23), MinCutLazy())
+        enum.optimize()
+        assert _frontier_cells(enum) == []

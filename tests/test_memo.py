@@ -1,11 +1,20 @@
 """Tests for memo tables: plain, LRU-bounded, and the cross-query cache."""
 
+import gc
+import weakref
+from array import array
+
 import pytest
 
 from repro.analysis.metrics import Metrics
 from repro.catalog import Catalog, Query
 from repro.cost.io_model import CostModel
-from repro.memo import GlobalPlanCache, MemoTable, canonical_expression_key
+from repro.memo import (
+    Frontier,
+    GlobalPlanCache,
+    MemoTable,
+    canonical_expression_key,
+)
 from repro.workloads import chain
 from repro.workloads.weights import weighted_query
 
@@ -237,3 +246,63 @@ class TestWireExportImport:
         cache = GlobalPlanCache()
         with pytest.raises(TypeError):
             cache.export_entries()
+
+
+def _frontier():
+    """A one-candidate frontier in the I/O model's layout."""
+    return Frontier([1], array("d", [0.0, 4.0, 4.0, 6.0, 8.0]))
+
+
+class TestFrontierCells:
+    """A lower-bound cell's frontier stays in the hot tier of its memo."""
+
+    def test_lower_bound_cell_keeps_frontier(self, query):
+        memo = MemoTable()
+        frontier = _frontier()
+        memo.store_lower_bound(query, 3, None, 12.5, frontier=frontier)
+        assert memo.get(query, 3, None).frontier is frontier
+        assert memo.footprint() == 1
+
+    def test_evicted_cell_takes_its_frontier(self, query):
+        memo = MemoTable(capacity=1)
+        frontier = _frontier()
+        costs = weakref.ref(frontier.costs)
+        memo.store_lower_bound(query, 3, None, 12.5, frontier=frontier)
+        del frontier
+        memo.store_lower_bound(query, 6, None, 12.5)  # evicts subset 3
+        gc.collect()
+        assert memo.get(query, 3, None) is None
+        assert costs() is None
+
+    def test_plan_store_drops_frontier(self, query):
+        memo = MemoTable()
+        memo.store_lower_bound(query, 1, None, 12.5, frontier=_frontier())
+        memo.store_plan(query, 1, None, scan(query, 0))
+        assert memo.get(query, 1, None).frontier is None
+
+    def test_export_round_trip_drops_frontier(self, query):
+        memo = MemoTable()
+        memo.store_lower_bound(query, 3, None, 12.5, frontier=_frontier())
+        entries = memo.export_entries()
+        assert entries == [(3, None, None, 12.5)]
+        other = MemoTable()
+        other.import_entries(query, entries)
+        entry = other.get(query, 3, None)
+        assert entry.lower_bound == 12.5
+        assert entry.frontier is None
+
+    def test_cold_demotion_round_trip_drops_frontier(self, query):
+        memo = MemoTable(capacity=1, cold_capacity=None)
+        memo.store_lower_bound(query, 3, None, 12.5, frontier=_frontier())
+        memo.store_plan(query, 1, None, scan(query, 0))  # demotes subset 3
+        assert memo.peek(query, 3, None) is None
+        entry = memo.get(query, 3, None)  # promoted from the cold tier
+        assert entry.lower_bound == 12.5
+        assert entry.frontier is None
+
+    def test_shared_cache_drops_frontier(self, query):
+        cache = GlobalPlanCache()
+        cache.store_lower_bound(query, 3, None, 12.5, frontier=_frontier())
+        entry = cache.get(query, 3, None)
+        assert entry.lower_bound == 12.5
+        assert entry.frontier is None
