@@ -66,16 +66,8 @@ class CoutCostModel(CostModel):
     ) -> Plan:
         """Assemble a join node with C_out costing."""
         combined = left_plan.vertices | right_plan.vertices
-        cardinality = query.cardinality(combined)
-        return left_plan.__class__(
-            op=method.op,
-            vertices=combined,
-            cost=left_plan.cost + right_plan.cost + cardinality,
-            cardinality=cardinality,
-            order=self.join_output_order(
-                query, method, left_plan.vertices, right_plan.vertices
-            ),
-            children=(left_plan, right_plan),
+        return self.join_node(
+            query, method, left_plan, right_plan, query.cardinality(combined)
         )
 
     def sort_cost(self, query: Query, subset: int) -> float:

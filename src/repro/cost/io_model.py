@@ -192,11 +192,23 @@ class CostModel:
         operator = self.join_operator_cost(
             method, query.pages(left), query.pages(right)
         )
+        return self.join_node(query, method, left_plan, right_plan, operator)
+
+    def join_node(
+        self,
+        query: Query,
+        method: _JoinMethod,
+        left_plan: Plan,
+        right_plan: Plan,
+        operator_cost: float,
+    ) -> Plan:
+        """The join node over two child plans, given its operator cost."""
+        left, right = left_plan.vertices, right_plan.vertices
         combined = left | right
         return Plan(
             op=method.op,
             vertices=combined,
-            cost=left_plan.cost + right_plan.cost + operator,
+            cost=left_plan.cost + right_plan.cost + operator_cost,
             cardinality=query.cardinality(combined),
             order=self.join_output_order(query, method, left, right),
             children=(left_plan, right_plan),

@@ -17,7 +17,7 @@ top-down algorithms extended with accumulated-cost (A), predicted-cost
 
 from __future__ import annotations
 
-from statistics import mean
+from statistics import mean, median
 
 from repro.analysis.metrics import Metrics
 from repro.experiments.common import ExperimentResult, graph_maker, seed_for, time_call
@@ -38,8 +38,18 @@ __all__ = [
 _SUFFIXES = ("", "A", "P", "AP")
 
 
-def _measure(base: str, topology: str, n: int, seeds: int):
-    """Run all four bounding variants; return per-variant samples."""
+#: Fresh runs per query and variant in the CPU figures; a query's time is
+#: their median, so one scheduler or GC pause in a millisecond-long run
+#: does not move a whole size's mean.
+_CPU_REPEATS = 3
+
+
+def _measure(base: str, topology: str, n: int, seeds: int, repeats: int = 1):
+    """Run all four bounding variants; return per-variant samples.
+
+    A sample's time is the median of ``repeats`` runs, each on a fresh
+    optimizer; the counters are deterministic and come from the last.
+    """
     make = graph_maker(topology)
     samples: dict[str, dict[str, list[float]]] = {
         s: {"ms": [], "plans": [], "cells": [], "reexp": []} for s in _SUFFIXES
@@ -48,10 +58,13 @@ def _measure(base: str, topology: str, n: int, seeds: int):
         graph = make(n, seed_for(n, s))
         query = weighted_query(graph, seed_for(n, s, 977))
         for suffix in _SUFFIXES:
-            metrics = Metrics()
-            optimizer = make_optimizer(base + suffix, query, metrics=metrics)
-            elapsed, _ = time_call(optimizer.optimize)
-            samples[suffix]["ms"].append(elapsed * 1e3)
+            times = []
+            for _ in range(repeats):
+                metrics = Metrics()
+                optimizer = make_optimizer(base + suffix, query, metrics=metrics)
+                elapsed, _ = time_call(optimizer.optimize)
+                times.append(elapsed * 1e3)
+            samples[suffix]["ms"].append(median(times))
             samples[suffix]["plans"].append(optimizer.memo.plan_cells())
             samples[suffix]["cells"].append(optimizer.memo.populated_cells())
             samples[suffix]["reexp"].append(metrics.expressions_reexpanded)
@@ -95,7 +108,7 @@ def _run_cpu(
     columns = ["n", "exh_ms", "A_rel", "P_rel", "AP_rel", "A_reexpansions"]
     result = ExperimentResult(experiment_id, title, columns)
     for n in sizes:
-        samples = _measure(base, topology, n, seeds)
+        samples = _measure(base, topology, n, seeds, _CPU_REPEATS)
         exhaustive_ms = mean(samples[""]["ms"])
         result.add_row(
             n=n,
