@@ -89,8 +89,7 @@ def _clique10_policy_gate() -> dict:
     for policy in ("lru", "cost"):
         metrics = Metrics()
         plan = make_optimizer(
-            "TBNmc", query, metrics=metrics,
-            memo_policy=policy, memo_capacity=capacity,
+            f"TBNmc%{policy}:{capacity}", query, metrics=metrics
         ).optimize()
         assert plan.cost == best.cost, f"{policy} lost optimality"
         cell[f"{policy}_joins"] = metrics.join_operators_costed

@@ -83,7 +83,7 @@ def test_emit_parallel_speedup_json():
         }
         for workers in WORKER_COUNTS:
             parallel_s, parallel_plan = _best_of(
-                lambda q=query, w=workers: make_optimizer("TBNmc", q, workers=w)
+                lambda q=query, w=workers: make_optimizer(f"TBNmc@{w}", q)
             )
             assert parallel_plan.cost == serial_plan.cost, (name, workers)
             assert parallel_plan == serial_plan, (name, workers)

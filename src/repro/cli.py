@@ -14,19 +14,25 @@ Subcommands::
     repro lint src/ [--format json] ...        # repo-aware static analysis
     repro serve [--port 7411] [--once]         # resident plan service
 
+``--algorithm`` takes any registry name (``repro.registry``): a Table 1
+name or alias plus the ``@N`` workers, ``%policy[:cap[:cold]]`` bounded
+memo (Section 5.1), ``?budget`` anytime and ``^k`` ranking suffixes,
+e.g. ``--algorithm TBNmc@4`` or ``--algorithm TBNmcAP?500n``.  A name
+the registry rejects ends the run with one ``error:`` line and exit
+status 2.
+
 ``optimize`` accepts ``--json`` (machine-readable result),
 ``--trace-out PATH`` (JSONL span dump, one span per memoized expression
-explored), ``--profile-out PATH`` (kernel profiler report JSON), and the
-``--memo-*`` family bounding the memo (Section 5.1: ``--memo-capacity``
-cells, ``--memo-policy`` eviction, cold demotion tier, offline profile);
+explored), ``--profile-out PATH`` (kernel profiler report JSON) and
+``--memo-profile PATH`` (offline weights for a ``%profile`` memo);
 ``trace`` prints the recursion tree of ``docs/observability.md``;
 ``profile`` attributes exclusive wall time to named kernels and exports
 collapsed-stack flamegraphs (``docs/profiling.md``); ``explain``
 reconstructs the per-expression bounding ledger from a live or dumped
 trace, or — with ``--phases`` — diffs the last two phases of a
 multiphase run; ``profile-memo`` distills a traced run (or an existing
-trace file) into the per-expression recompute weights that
-``--memo-policy profile`` consumes.
+trace file) into the per-expression recompute weights that a
+``%profile`` memo consumes.
 
 Every ``--*-out PATH`` option creates missing parent directories up
 front, before the (possibly long) optimization runs, and fails fast with
@@ -42,7 +48,6 @@ import os
 import sys
 
 from repro.analysis.metrics import Metrics
-from repro.anytime import Budget
 from repro.experiments import EXPERIMENTS
 from repro.obs import (
     MetricsRegistry,
@@ -57,7 +62,12 @@ from repro.obs import (
     render_trace_tree,
     write_jsonl,
 )
-from repro.registry import available_algorithms, make_optimizer, parse_name
+from repro.registry import (
+    OptimizerConfig,
+    available_algorithms,
+    make_optimizer,
+    parse_name,
+)
 from repro.experiments.common import graph_maker
 from repro.workloads.seeding import DEFAULT_SEED
 from repro.workloads.weights import weighted_query
@@ -144,58 +154,29 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         RecordingProfiler() if getattr(args, "profile_out", None) else None
     )
     registry = MetricsRegistry() if (tracing or args.json) else None
-    workers = getattr(args, "workers", 0) or None
     memo_profile, error = _load_memo_profile(args)
     if error is not None:
         return error
-    budget = None
-    budget_ms = getattr(args, "budget_ms", None)
-    budget_nodes = getattr(args, "budget_nodes", None)
-    if budget_ms is not None or budget_nodes is not None:
-        try:
-            budget = Budget(max_nodes=budget_nodes, deadline_ms=budget_ms)
-        except ValueError as exc:
-            print(f"invalid budget: {exc}", file=sys.stderr)
-            return 2
-    top_k = getattr(args, "top_k", None)
-    if top_k is not None and top_k < 1:
-        print(f"--top-k must be >= 1, got {top_k}", file=sys.stderr)
-        return 2
-    if top_k is not None and budget is not None:
-        print(
-            "--top-k ranks plans exhaustively; drop --budget-ms/--budget-nodes",
-            file=sys.stderr,
+    config = OptimizerConfig.parse(args.algorithm)
+    try:
+        optimizer = make_optimizer(
+            config,
+            query,
+            metrics=metrics,
+            tracer=tracer,
+            registry=registry,
+            profiler=profiler,
+            parallel_policy=getattr(args, "fork_policy", "auto"),
+            worker_trace_dir=getattr(args, "worker_trace_dir", None),
+            memo_profile=memo_profile,
         )
+    except ValueError as exc:  # e.g. --profile-out on an @N name
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if top_k is not None and workers is not None:
-        print("--top-k is serial-only; drop --workers", file=sys.stderr)
-        return 2
-    optimizer = make_optimizer(
-        args.algorithm,
-        query,
-        metrics=metrics,
-        tracer=tracer,
-        registry=registry,
-        profiler=profiler,
-        workers=workers,
-        parallel_policy=getattr(args, "fork_policy", "auto"),
-        worker_trace_dir=getattr(args, "worker_trace_dir", None),
-        memo_policy=getattr(args, "memo_policy", None),
-        memo_capacity=getattr(args, "memo_capacity", None),
-        memo_cold_capacity=getattr(args, "memo_cold_capacity", None),
-        memo_profile=memo_profile,
-        budget=budget,
-        top_k=top_k,
-    )
-    effective_topk = (
-        top_k
-        if top_k is not None
-        else getattr(optimizer, "default_topk", None)
-    )
     ranked = None
     with Stopwatch() as stopwatch:
-        if effective_topk is not None:
-            ranked = optimizer.optimize_topk(effective_topk)
+        if config.top_k is not None:
+            ranked = optimizer.optimize_topk(config.top_k)
             plan = ranked[0]
         else:
             plan = optimizer.optimize()
@@ -264,7 +245,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             payload["anytime"] = anytime_report.to_dict()
         if ranked is not None:
             payload["topk"] = {
-                "k": effective_topk,
+                "k": config.top_k,
                 "returned": len(ranked),
                 "plans": [
                     {"cost": candidate.cost, "plan": candidate.sql_like()}
@@ -296,7 +277,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"plan: {plan.sql_like()}")
     print(f"cost: {plan.cost:.6g}")
     if ranked is not None:
-        print(f"top-{effective_topk}: {len(ranked)} distinct plan(s)")
+        print(f"top-{config.top_k}: {len(ranked)} distinct plan(s)")
         for rank, candidate in enumerate(ranked):
             print(f"  #{rank + 1}: cost {candidate.cost:.6g}  {candidate.sql_like()}")
     print(plan.tree_string())
@@ -363,7 +344,8 @@ def _cmd_profile_memo(args: argparse.Namespace) -> int:
     Either replays an existing span-trace JSONL (``--from-trace``) or
     runs the optimizer under a recording tracer right here, then writes
     the per-expression exclusive recompute weights as JSON for a later
-    ``repro optimize --memo-policy profile --memo-profile PATH`` run.
+    ``repro optimize --algorithm TBNmc%profile:CELLS --memo-profile PATH``
+    run.
     """
     from repro.cache.costing import CostProfile
 
@@ -415,9 +397,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     query = _build_query(args)
     metrics = Metrics()
     profiler = RecordingProfiler()
-    optimizer = make_optimizer(
-        args.algorithm, query, metrics=metrics, profiler=profiler
-    )
+    try:
+        optimizer = make_optimizer(
+            args.algorithm, query, metrics=metrics, profiler=profiler
+        )
+    except ValueError as exc:  # profiling needs a serial top-down name
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with Stopwatch() as stopwatch:
         plan = optimizer.optimize()
     wall = stopwatch.elapsed_total
@@ -882,7 +868,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-algorithms", help="show the algorithm registry")
 
     optimize = sub.add_parser("optimize", help="optimize a generated query")
-    optimize.add_argument("--algorithm", default="TBNmc")
+    optimize.add_argument(
+        "--algorithm", default="TBNmc",
+        help="registry name with optional @N workers, %%policy[:cap[:cold]] "
+             "memo, ?budget anytime and ^k ranking suffixes",
+    )
     optimize.add_argument(
         "--topology",
         default="star",
@@ -911,11 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(overrides --topology/--n)",
     )
     optimize.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="parallelize the search over N worker processes "
-             "(0 = serial; equivalent to an @N algorithm suffix)",
-    )
-    optimize.add_argument(
         "--fork-policy", default="auto", choices=["auto", "level", "subtree"],
         help="parallel fork-point policy: level-synchronous frontiers "
              "(work-conserving, default) or independent top-level cut "
@@ -926,40 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one span-trace JSONL per worker into DIR",
     )
     optimize.add_argument(
-        "--memo-policy", choices=["lru", "smallest", "cost", "profile"],
-        help="eviction policy for a capacity-bounded memo "
-             "(equivalent to a %%policy algorithm suffix)",
-    )
-    optimize.add_argument(
-        "--memo-capacity", type=int, metavar="CELLS",
-        help="bound the memo to CELLS populated cells (Section 5.1)",
-    )
-    optimize.add_argument(
-        "--memo-cold-capacity", type=int, metavar="CELLS",
-        help="keep up to CELLS evicted cells in a compact cold tier "
-             "(demotion instead of loss)",
-    )
-    optimize.add_argument(
         "--memo-profile", metavar="PATH",
         help="offline recompute weights from 'repro profile-memo' "
-             "(used by --memo-policy profile)",
-    )
-    optimize.add_argument(
-        "--budget-ms", type=float, metavar="MS",
-        help="anytime wall-clock deadline in milliseconds: return the "
-             "best plan found in time, with a certified gap bound "
-             "(equivalent to a ?MSms algorithm suffix; docs/anytime.md)",
-    )
-    optimize.add_argument(
-        "--budget-nodes", type=int, metavar="N",
-        help="anytime node budget: at most N memo-missed expression "
-             "computations, deterministic (equivalent to ?Nn)",
-    )
-    optimize.add_argument(
-        "--top-k", type=int, metavar="K",
-        help="rank the K cheapest structurally distinct plans instead of "
-             "one champion (equivalent to a ^K suffix; serial top-down "
-             "only)",
+             "(used by a %%profile memo suffix)",
     )
 
     trace = sub.add_parser(
@@ -1224,6 +1178,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    algorithm = getattr(args, "algorithm", None)
+    if algorithm is not None:
+        try:
+            OptimizerConfig.parse(algorithm)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "list-algorithms": _cmd_list_algorithms,
         "optimize": _cmd_optimize,

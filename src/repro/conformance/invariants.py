@@ -70,7 +70,7 @@ from repro.partition import (
     PartitionStrategy,
 )
 from repro.plans.validate import PlanValidationError, validate_plan
-from repro.registry import conformance_matrix, make_optimizer, parse_name
+from repro.registry import OptimizerConfig, conformance_matrix, make_optimizer
 from repro.spaces import PlanSpace
 from repro.workloads import chain, clique, cycle, star
 from repro.workloads.weights import weighted_query
@@ -285,7 +285,7 @@ def check_ccp_closed_forms(
                         )
                     )
                 if (
-                    parse_name(algorithm).top_down
+                    OptimizerConfig.parse(algorithm).spec.top_down
                     and metrics.peak_memo_cells != expected_csg
                 ):
                     violations.append(
@@ -417,7 +417,7 @@ def check_plan_agreement(
                     )
                 )
                 continue
-            spec = parse_name(name)
+            spec = OptimizerConfig.parse(name).spec
             try:
                 validate_plan(plan, query, spec.space)
             except PlanValidationError as exc:
@@ -473,7 +473,7 @@ def check_topk_soundness(
     violations: list[Violation] = []
     for name in strategies:
         champion = make_optimizer(name, query).optimize()
-        space = parse_name(name).space
+        space = OptimizerConfig.parse(name).spec.space
         for depth in (1, k):
             optimizer = make_optimizer(name, query)
             ranked = optimizer.optimize_topk(depth)
@@ -546,7 +546,7 @@ def check_anytime_gap(
     violations: list[Violation] = []
     for name in strategies:
         optimal = _optimal_cost(name, query)
-        space = parse_name(name).space
+        space = OptimizerConfig.parse(name).spec.space
         for nodes in budgets:
             optimizer = make_optimizer(name, query)
             plan = optimizer.optimize(budget=Budget.nodes(nodes))

@@ -32,7 +32,7 @@ from typing import Any, Iterable
 from repro.analysis.metrics import Metrics
 from repro.experiments.common import graph_maker, seed_for
 from repro.obs.registry import TIME_BETWEEN_JOINS, MetricsRegistry
-from repro.registry import make_optimizer, parse_name
+from repro.registry import OptimizerConfig, make_optimizer
 from repro.workloads.weights import weighted_query
 
 __all__ = [
@@ -183,7 +183,7 @@ def measure_optimality(
         gate_algorithms = tuple(
             name
             for name in algorithms
-            if parse_name(name).is_optimal_enumeration
+            if OptimizerConfig.parse(name).spec.is_optimal_enumeration
         )
     report = OptimalityReport(scale=scale, repeats=repeats)
     for algorithm in algorithms:

@@ -188,18 +188,13 @@ def run_memory_policies(scale: str = "small") -> ExperimentResult:
         required = unbounded.memo.populated_cells()
         capacity = required // 2
         profile = CostProfile.from_tracer(tracer)
-        variants = [(name, {"memo_policy": name}) for name in policies]
-        variants.append(
-            ("cost+cold",
-             {"memo_policy": "cost", "memo_cold_capacity": capacity}),
-        )
-        for label, overrides in variants:
-            if overrides["memo_policy"] == "profile":
-                overrides["memo_profile"] = profile
+        variants = [(name, f"%{name}:{capacity}") for name in policies]
+        variants.append(("cost+cold", f"%cost:{capacity}:{capacity}"))
+        for label, suffix in variants:
             metrics = Metrics()
             optimizer = make_optimizer(
-                POLICY_BASE, query, metrics=metrics,
-                memo_capacity=capacity, **overrides,
+                POLICY_BASE + suffix, query, metrics=metrics,
+                memo_profile=profile if label == "profile" else None,
             )
             elapsed, plan = time_call(optimizer.optimize)
             result.add_row(

@@ -35,7 +35,7 @@ from repro.enumerator import TopDownEnumerator
 from repro.obs.exporters import subset_label
 from repro.obs.tracer import RecordingTracer, Span
 from repro.plans.physical import Plan
-from repro.registry import make_optimizer, parse_name
+from repro.registry import make_optimizer
 
 __all__ = [
     "PhaseResult",
@@ -122,7 +122,6 @@ def optimize_multiphase(
     phases: list[PhaseResult] = []
     incumbent: Plan | None = None
     for position, name in enumerate(algorithms):
-        parse_name(name)  # fail fast on typos
         metrics = Metrics()
         tracer = RecordingTracer() if trace else None
         optimizer = make_optimizer(

@@ -8,9 +8,9 @@ partition-tree subtrees (top-level minimal cuts, bound-broadcast
 branch-and-bound).  See :mod:`repro.parallel.scheduler` for the policy
 semantics and :doc:`docs/parallel` for the design discussion.
 
-Entry points: ``repro optimize --workers N`` on the CLI, the ``name@N``
-algorithm grammar (``TBNmc@4``, ``mincutlazy@2``) in the registry, or
-:class:`ParallelEnumerator` directly.
+Entry points: the ``name@N`` algorithm grammar (``TBNmc@4``,
+``mincutlazy@2``) of the registry — on the CLI as ``repro optimize
+--algorithm TBNmc@4`` — or :class:`ParallelEnumerator` directly.
 """
 
 from repro.parallel.fork import (

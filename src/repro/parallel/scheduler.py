@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 from repro.analysis.metrics import Metrics
 from repro.anytime import AnytimeReport, Budget
@@ -99,9 +100,9 @@ class ParallelEnumerator:
     """Top-down partition search parallelized over worker processes.
 
     ``algorithm`` names any registered top-down algorithm (Table 1 name,
-    bounded variant, or alias) — the worker count is *not* part of the
-    name here; pass it as ``workers`` (the registry's ``name@N`` grammar
-    resolves to this constructor).
+    bounded variant, or alias) without configuration suffixes: the worker
+    count, memo and budget are arguments here (the registry's ``name@N``
+    grammar resolves to this constructor).
     """
 
     def __init__(
@@ -121,25 +122,20 @@ class ParallelEnumerator:
         global_cache: GlobalPlanCache | None = None,
         budget: Budget | None = None,
     ) -> None:
-        from repro.registry import parse_name, resolve_alias
+        from repro.registry import OptimizerConfig
 
-        if "@" in algorithm:
+        config = OptimizerConfig.parse(algorithm)
+        if config != OptimizerConfig(config.spec):
             raise ValueError(
-                "pass the worker count via the `workers` argument, "
-                f"not an @N suffix: {algorithm!r}"
+                "pass the workers, memo and budget via arguments, not name "
+                f"suffixes: {algorithm!r}"
             )
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
         if policy not in POLICIES:
             raise ValueError(f"unknown fork policy {policy!r}; use one of {POLICIES}")
-        spec = parse_name(algorithm)
-        if not spec.top_down:
-            raise ValueError(
-                f"{algorithm!r} is bottom-up: parallel partition search "
-                "requires a top-down algorithm"
-            )
+        # The config rejects a worker count below one and bottom-up search.
+        spec = replace(config, workers=workers).spec
         self.query = query
-        self.algorithm = resolve_alias(algorithm)
+        self.algorithm = spec.name
         self.workers = workers
         self.policy = policy
         self._spec = spec

@@ -1,4 +1,4 @@
-"""Algorithm registry: the paper's Table 1 names plus bounding suffixes.
+"""Algorithm registry: the paper's Table 1 names plus configuration suffixes.
 
 Name grammar (case-insensitive):
 
@@ -18,29 +18,28 @@ algorithm; ``TLNmcAP`` adds combined bounding; ``BBNccp`` is DPccp.
 Friendly aliases (``mincutlazy``, ``dpccp``, ``leftdeep``, ...) resolve
 to the Table 1 names; see :data:`ALGORITHM_ALIASES`.
 
-A trailing ``@N`` requests parallel execution with ``N`` worker
-processes (top-down algorithms only): ``TBNmc@4``, ``mincutlazy@2``,
-``TLNmcAP@8``.  The ``parallel`` alias is shorthand for ``TBNmc@4``.
+Four optional suffixes configure the run; each may appear once, in any
+order, and all need a top-down algorithm:
 
-A trailing ``%policy[:capacity[:cold]]`` requests a capacity-bounded
-memo with the named eviction policy (Section 5.1 / Figures 21–30):
-``TBNmc%lru:64`` bounds the memo to 64 cells with LRU eviction,
-``TBNmc%cost:64:128`` adds a 128-entry cold demotion tier under the
-cost-aware GreedyDual policy.  Policies: ``lru``, ``smallest``,
-``cost``, ``profile``.  Both suffixes compose in either order
-(``TBNmc%cost:64@2`` ≡ ``TBNmc@2%cost:64``).
+* ``@N`` — parallel execution over ``N`` worker processes (``TBNmc@4``;
+  the ``parallel`` alias is shorthand for ``TBNmc@4``);
+* ``%policy[:capacity[:cold]]`` — a capacity-bounded memo with the named
+  eviction policy (Section 5.1 / Figures 21–30): ``TBNmc%lru:64``, or
+  ``TBNmc%cost:64:128`` with a 128-entry cold demotion tier.  Policies:
+  ``lru``, ``smallest``, ``cost``, ``profile``;
+* ``?budget`` — anytime search (``docs/anytime.md``): ``TBNmc?250ms``
+  bounds wall clock, ``TBNmc?5000n`` memo-missed expression computations
+  (deterministic), ``TBNmc?250ms:5000n`` both.  ``optimize()`` then
+  returns the best plan found within the budget and reports a certified
+  optimality-gap bound on its ``anytime`` attribute;
+* ``^k`` — the default rank depth of ``optimize_topk()`` (``TBNmc^3``
+  ranks the 3 cheapest distinct plans).  Ranking is serial (ranked cells
+  live in one memo) and exhaustive, so ``^k`` excludes ``@N`` and
+  ``?budget``.
 
-A trailing ``?budget`` requests anytime search (``docs/anytime.md``):
-``TBNmc?250ms`` bounds wall clock, ``TBNmc?5000n`` bounds memo-missed
-expression computations (deterministic), ``TBNmc?250ms:5000n`` both.
-The optimizer's ``optimize()`` then returns the best plan found within
-the budget and reports a certified optimality-gap bound on its
-``anytime`` attribute.  A trailing ``^k`` sets the default rank depth of
-``optimize_topk()`` (``TBNmc^3`` ranks the 3 cheapest distinct plans).
-Both compose with ``@N`` and ``%policy`` in any order — canonical form
-``@N %policy ?budget ^k``, e.g. ``TBNmc@2%cost:64?250ms^3`` — but are
-top-down only, and ``^k`` is serial only (ranked cells live in one
-memo).
+:meth:`OptimizerConfig.parse` is the one parser of this grammar and
+``str(config)`` the one formatter; the canonical order is
+``base@N%policy:cap:cold?budget^k``, e.g. ``TBNmc@2%cost:64?250ms``.
 """
 
 from __future__ import annotations
@@ -78,16 +77,12 @@ __all__ = [
     "AlgorithmSpec",
     "ALGORITHM_ALIASES",
     "MemoSpec",
+    "OptimizerConfig",
     "available_algorithms",
     "conformance_matrix",
     "make_optimizer",
     "optimize",
     "parse_name",
-    "resolve_alias",
-    "split_budget",
-    "split_memo_policy",
-    "split_topk",
-    "split_workers",
 ]
 
 _NAME_PATTERN = re.compile(
@@ -95,6 +90,9 @@ _NAME_PATTERN = re.compile(
     r"(?P<style>size|naive|ccp|mc|mcopt)(?P<bounding>A|P|AP)?$",
     re.IGNORECASE,
 )
+
+#: One configuration suffix: its marker and its body up to the next marker.
+_SUFFIX_PATTERN = re.compile(r"([@%?^])([^@%?^]*)")
 
 #: Friendly names for the strategies, usable anywhere a Table 1 name is
 #: (CLI ``--algorithm``, :func:`make_optimizer`, :func:`optimize`).
@@ -135,7 +133,7 @@ TABLE1_ALGORITHMS = (
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Parsed description of an algorithm name."""
+    """Parsed description of a Table 1 algorithm name."""
 
     name: str
     top_down: bool
@@ -156,196 +154,157 @@ class AlgorithmSpec:
         return self.style in {"mc", "ccp"}
 
 
+def _count(text: str, what: str) -> int:
+    """A suffix's non-negative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class MemoSpec:
-    """Parsed ``%policy[:capacity[:cold]]`` memo-bounding suffix."""
+    """A bounded memo: the ``%policy[:capacity[:cold]]`` suffix body."""
 
     policy: str
     capacity: int | None = None
-    cold_capacity: int | None = 0
+    cold_capacity: int = 0
 
-
-def split_memo_policy(name: str) -> tuple[str, MemoSpec | None]:
-    """Split a ``base%policy[:capacity[:cold]]`` name into ``(base, spec)``.
-
-    Composes with the ``@N`` worker suffix in either order: a worker
-    count trailing the memo spec (``TBNmc%cost:64@2``) is reattached to
-    the returned base name.  Names without ``%`` return ``(name, None)``.
-    """
-    base, sep, tail = name.partition("%")
-    if not sep:
-        return name, None
-    for index, char in enumerate(tail):
-        if char in "@?^":
-            base += tail[index:]
-            tail = tail[:index]
-            break
-    parts = tail.split(":")
-    policy = parts[0].lower()
-    if policy not in POLICY_NAMES:
-        raise ValueError(
-            f"unknown memo policy in algorithm name {name!r}; "
-            f"use one of {POLICY_NAMES}"
-        )
-    if len(parts) > 3:
-        raise ValueError(
-            f"malformed memo suffix in {name!r}; "
-            "expected %policy[:capacity[:cold]]"
-        )
-
-    def _cap(token: str, what: str) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            value = -1
-        if value < 0:
+    def __post_init__(self) -> None:
+        if self.policy not in POLICY_NAMES:
             raise ValueError(
-                f"invalid memo {what} in algorithm name {name!r}: {token!r}"
+                f"unknown memo policy {self.policy!r}; use one of {POLICY_NAMES}"
             )
-        return value
+        if self.capacity is None and self.cold_capacity:
+            raise ValueError("a cold memo tier needs a capacity")
 
-    capacity = _cap(parts[1], "capacity") if len(parts) > 1 else None
-    cold = _cap(parts[2], "cold capacity") if len(parts) > 2 else 0
-    return base, MemoSpec(policy=policy, capacity=capacity, cold_capacity=cold)
+    @classmethod
+    def parse_token(cls, text: str) -> MemoSpec:
+        """Parse a suffix body: ``cost``, ``cost:64``, ``cost:64:128``."""
+        policy, *sizes = text.split(":")
+        if len(sizes) > 2:
+            raise ValueError(
+                f"malformed memo suffix {text!r}; expected %policy[:capacity[:cold]]"
+            )
+        return cls(policy.lower(), *(_count(size, "memo capacity") for size in sizes))
+
+    def token(self) -> str:
+        """The canonical suffix body (a zero cold tier is left out)."""
+        parts = [self.policy]
+        if self.capacity is not None:
+            parts.append(str(self.capacity))
+            if self.cold_capacity:
+                parts.append(str(self.cold_capacity))
+        return ":".join(parts)
 
 
-def split_workers(name: str) -> tuple[str, int | None]:
-    """Split a ``base@N`` algorithm name into ``(base, N)``.
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """One optimizer configuration: a Table 1 algorithm plus its suffixes.
 
-    ``N`` is the requested parallel worker count; names without the
-    suffix return ``(name, None)``.
+    ``workers`` is the ``@N`` process count (``None``: serial), ``memo``
+    the ``%policy`` bounded memo, ``budget`` the ``?budget`` anytime
+    limit and ``top_k`` the ``^k`` default rank depth.  The constructor
+    checks every cross-field rule of the grammar, so each surface — a
+    registry name, ``repro optimize --algorithm``, a served request's
+    ``algorithm`` — rejects the same configurations with the same error.
     """
-    base, sep, tail = name.partition("@")
-    if not sep:
-        return name, None
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "%?^":
-            token, rest = tail[:index], tail[index:]
-            break
-    try:
-        workers = int(token)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(
-            f"invalid worker count in algorithm name {name!r}; "
-            "expected e.g. TBNmc@4"
-        )
-    return base + rest, workers
+
+    spec: AlgorithmSpec
+    workers: int | None = None
+    memo: MemoSpec | None = None
+    budget: Budget | None = None
+    top_k: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.budget is not None and self.budget.is_unlimited:
+            raise ValueError(f"{self.spec.name}: a ?budget must bound something")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"{self}: the @N worker count must be >= 1")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError(f"{self}: the ^k rank depth must be >= 1")
+        if not self.spec.top_down:
+            for value, what in (
+                (self.workers, "parallel @N execution"),
+                (self.memo, "a %policy memo"),
+                (self.budget, "an anytime ?budget"),
+                (self.top_k, "^k ranked enumeration"),
+            ):
+                if value is not None:
+                    raise ValueError(f"{self}: {what} needs a top-down algorithm")
+        if self.top_k is not None and self.workers is not None:
+            raise ValueError(
+                f"{self}: ranked enumeration is serial-only (ranked memo "
+                "cells live in one memo); drop ^k or the @N worker count"
+            )
+        if self.top_k is not None and self.budget is not None:
+            raise ValueError(
+                f"{self}: ^k ranks plans exhaustively; drop ^k or the ?budget"
+            )
+
+    def __str__(self) -> str:
+        text = self.spec.name
+        if self.workers is not None:
+            text += f"@{self.workers}"
+        if self.memo is not None:
+            text += f"%{self.memo.token()}"
+        if self.budget is not None:
+            text += f"?{self.budget.token()}"
+        if self.top_k is not None:
+            text += f"^{self.top_k}"
+        return text
+
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def parse(name: str) -> OptimizerConfig:
+        """Parse a registry name: alias or Table 1 base, then suffixes.
+
+        An alias's own worker count (``parallel`` is ``TBNmc@4``) yields
+        to an explicit ``@N`` (``parallel@2`` is ``TBNmc@2``).
+        """
+        base = re.split(r"[@%?^]", name, maxsplit=1)[0]
+        suffixes: dict[str, str] = {}
+        for mark, body in _SUFFIX_PATTERN.findall(name, len(base)):
+            if mark in suffixes:
+                raise ValueError(f"duplicate {mark} suffix in algorithm name {name!r}")
+            suffixes[mark] = body
+        base, workers = _expand_alias(base)
+        try:
+            if "@" in suffixes:
+                workers = _count(suffixes["@"], "the @N worker count")
+            memo = MemoSpec.parse_token(suffixes["%"]) if "%" in suffixes else None
+            budget = Budget.parse_token(suffixes["?"]) if "?" in suffixes else None
+            top_k = _count(suffixes["^"], "the ^k rank") if "^" in suffixes else None
+        except ValueError as error:
+            raise ValueError(f"invalid suffix in algorithm name {name!r}: {error}") from None
+        return OptimizerConfig(parse_name(base), workers, memo, budget, top_k)
 
 
-def split_budget(name: str) -> tuple[str, Budget | None]:
-    """Split a ``?budget`` anytime suffix out of an algorithm name.
+def _expand_alias(base: str) -> tuple[str, int | None]:
+    """Map a friendly alias to ``(Table 1 name, alias worker count)``.
 
-    The suffix body follows :meth:`repro.anytime.Budget.parse_token`
-    (``250ms``, ``5000n``, ``250ms:5000n``) and composes with the other
-    suffixes in any order; whatever suffix text follows the budget token
-    is reattached to the returned base.  Names without ``?`` return
-    ``(name, None)``.
+    An ``A``/``P``/``AP`` bounding suffix (separated or not) is kept:
+    ``mincutlazy-AP`` resolves to ``TBNmcAP``.  Other names pass through.
     """
-    base, sep, tail = name.partition("?")
-    if not sep:
-        return name, None
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "@%^":
-            token, rest = tail[:index], tail[index:]
-            break
-    try:
-        budget = Budget.parse_token(token)
-    except ValueError as error:
-        raise ValueError(
-            f"invalid ?budget suffix in algorithm name {name!r}: {error}"
-        ) from None
-    return base + rest, budget
-
-
-def split_topk(name: str) -> tuple[str, int | None]:
-    """Split a ``^k`` default-rank suffix out of an algorithm name.
-
-    ``k`` is the default depth of ``optimize_topk()``; it composes with
-    the other suffixes in any order, and names without ``^`` return
-    ``(name, None)``.
-    """
-    base, sep, tail = name.partition("^")
-    if not sep:
-        return name, None
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "@%?":
-            token, rest = tail[:index], tail[index:]
-            break
-    try:
-        k = int(token)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise ValueError(
-            f"invalid ^k rank in algorithm name {name!r}; expected e.g. TBNmc^3"
-        )
-    return base + rest, k
-
-
-def resolve_alias(name: str) -> str:
-    """Map a friendly alias to its Table 1 name; other names pass through.
-
-    An optional ``A``/``P``/``AP`` bounding suffix (separated or not) is
-    preserved: ``mincutlazy-AP`` resolves to ``TBNmcAP``.  A ``@N``
-    worker-count suffix is preserved too, and overrides any count the
-    alias itself carries (``parallel@2`` resolves to ``TBNmc@2``); a
-    ``%policy`` memo suffix is carried along unchanged
-    (``mincutlazy%cost:64`` resolves to ``TBNmc%cost:64``), as are
-    ``?budget`` and ``^k`` suffixes, normalised to the canonical order
-    ``@N %policy ?budget ^k`` (``mincutlazy?100n@2`` resolves to
-    ``TBNmc@2?100n``).
-    """
-    name, budget = split_budget(name)
-    name, top_k = split_topk(name)
-    name, memo_spec = split_memo_policy(name)
-    base, workers = split_workers(name)
     normalized = base.lower().replace("-", "").replace("_", "")
-    resolved = base
     for suffix in ("ap", "a", "p", ""):
-        if suffix and not normalized.endswith(suffix):
+        if not normalized.endswith(suffix):
             continue
-        stem = normalized[: len(normalized) - len(suffix)] if suffix else normalized
-        canonical = ALGORITHM_ALIASES.get(stem)
-        if canonical is not None:
-            resolved = canonical + suffix.upper()
-            break
-    resolved_base, resolved_workers = split_workers(resolved)
-    if workers is not None:
-        resolved_workers = workers
-    if resolved_workers is not None:
-        resolved_base = f"{resolved_base}@{resolved_workers}"
-    if memo_spec is not None:
-        suffix = f"%{memo_spec.policy}"
-        if memo_spec.capacity is not None:
-            suffix += f":{memo_spec.capacity}"
-            if memo_spec.cold_capacity:
-                suffix += f":{memo_spec.cold_capacity}"
-        resolved_base += suffix
-    if budget is not None:
-        resolved_base += f"?{budget.token()}"
-    if top_k is not None:
-        resolved_base += f"^{top_k}"
-    return resolved_base
+        target = ALGORITHM_ALIASES.get(normalized[: len(normalized) - len(suffix)])
+        if target is not None:
+            target, _, workers = target.partition("@")
+            return target + suffix.upper(), int(workers) if workers else None
+    return base, None
 
 
 @functools.lru_cache(maxsize=256)
 def parse_name(name: str) -> AlgorithmSpec:
-    """Parse a Table 1 style algorithm name (or a friendly alias).
+    """Parse a bare Table 1 name (case-insensitive) into its spec.
 
-    ``@N`` worker-count, ``%policy`` memo, ``?budget`` and ``^k``
-    suffixes are accepted and ignored: the spec describes the underlying
-    serial algorithm.
+    Aliases and configuration suffixes belong to
+    :meth:`OptimizerConfig.parse`, whose ``.spec`` this is.  The spec's
+    ``name`` is the canonical casing (``tbnmcap`` -> ``TBNmcAP``).
     """
-    base, _budget = split_budget(resolve_alias(name))
-    base, _top_k = split_topk(base)
-    base, _memo_spec = split_memo_policy(base)
-    base, _workers = split_workers(base)
-    match = _NAME_PATTERN.match(base)
+    match = _NAME_PATTERN.match(name)
     if match is None:
         raise ValueError(
             f"unrecognized algorithm name {name!r}; "
@@ -356,7 +315,8 @@ def parse_name(name: str) -> AlgorithmSpec:
     left_deep = match.group("shape").upper() == "L"
     cp_free = match.group("cp").upper() == "N"
     style = match.group("style").lower()
-    bounding = Bounding.from_suffix(match.group("bounding") or "")
+    suffix = (match.group("bounding") or "").upper()
+    bounding = Bounding.from_suffix(suffix)
 
     if left_deep and cp_free:
         space = PlanSpace.left_deep_cp_free()
@@ -379,8 +339,9 @@ def parse_name(name: str) -> AlgorithmSpec:
         raise ValueError(f"{name!r}: there is no top-down size-driven algorithm")
     if style == "naive" and not top_down and left_deep:
         raise ValueError(f"{name!r}: Table 1 has no bottom-up left-deep naive row")
+    canonical = name[:3].upper() + style + suffix
     return AlgorithmSpec(
-        name=base, top_down=top_down, space=space, style=style, bounding=bounding
+        name=canonical, top_down=top_down, space=space, style=style, bounding=bounding
     )
 
 
@@ -461,7 +422,7 @@ def _partition_for(spec: AlgorithmSpec):
 
 
 def make_optimizer(
-    name: str,
+    name_or_config: str | OptimizerConfig,
     query: Query,
     cost_model: CostModel | None = None,
     *,
@@ -470,119 +431,63 @@ def make_optimizer(
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
     profiler: KernelProfiler | None = None,
-    workers: int | None = None,
+    memo_profile: CostProfile | None = None,
+    global_cache: GlobalPlanCache | None = None,
     parallel_policy: str = "auto",
     worker_trace_dir: str | None = None,
     start_method: str | None = None,
-    memo_policy: str | None = None,
-    memo_capacity: int | None = None,
-    memo_cold_capacity: int | None = None,
-    memo_profile: CostProfile | None = None,
-    global_cache: GlobalPlanCache | None = None,
-    budget: Budget | None = None,
-    top_k: int | None = None,
 ):
-    """Instantiate the named algorithm over ``query``.
+    """Instantiate the named (or configured) algorithm over ``query``.
 
     Returns an object with an ``optimize(order=None) -> Plan`` method and
     ``metrics`` attribute (a :class:`TopDownEnumerator`, a bottom-up
-    optimizer, or — when a worker count is requested — a
-    :class:`~repro.parallel.scheduler.ParallelEnumerator`).  ``tracer``
-    and ``registry`` attach the :mod:`repro.obs` instrumentation; both
-    default to off (zero overhead).  ``profiler`` attaches a kernel
-    profiler (:mod:`repro.obs.profile`) and requires a serial top-down
-    algorithm — bottom-up optimizers have no partition/memo kernels to
-    attribute, and parallel workers would need per-process profilers.
+    optimizer, or — for an ``@N`` configuration — a
+    :class:`~repro.parallel.scheduler.ParallelEnumerator`).  Everything
+    the name's suffixes say — workers, memo policy, anytime budget
+    (the enumerator's default for ``optimize()``), ``optimize_topk``
+    rank — comes from :meth:`OptimizerConfig.parse`; the keyword
+    arguments only attach runtime objects.
 
-    The worker count comes from the explicit ``workers`` argument or,
-    failing that, a ``@N`` suffix on ``name`` (``TBNmc@4``); the explicit
-    argument wins when both are present.  ``parallel_policy``,
-    ``worker_trace_dir``, and ``start_method`` configure the parallel
-    runtime and are ignored for serial runs.
-
-    The memo configuration comes from a ``%policy[:capacity[:cold]]``
-    suffix on ``name`` and/or the explicit ``memo_policy`` /
-    ``memo_capacity`` / ``memo_cold_capacity`` / ``memo_profile``
-    arguments (explicit arguments win field by field); ``global_cache``
-    attaches a cross-query :class:`~repro.memo.GlobalPlanCache` as the
-    memo's shared read-through tier.  These are mutually exclusive with
-    passing a prebuilt ``memo``.
-
-    The anytime budget comes from a ``?budget`` suffix on ``name``
-    and/or the explicit ``budget`` argument (explicit wins) and becomes
-    the enumerator's default: ``optimize()`` then runs the anytime
-    search of ``docs/anytime.md``.  The default ``optimize_topk`` rank
-    comes from a ``^k`` suffix and/or the explicit ``top_k`` argument
-    (explicit wins).  Both require a top-down algorithm; ranked
-    enumeration is additionally serial-only, while a budget on a
-    parallel ``@N`` run bounds the finishing pass (the level rounds run
-    unbudgeted in worker processes).
+    ``tracer`` and ``registry`` attach the :mod:`repro.obs`
+    instrumentation; both default to off (zero overhead).  ``profiler``
+    attaches a kernel profiler (:mod:`repro.obs.profile`) and requires a
+    serial top-down algorithm — bottom-up optimizers have no
+    partition/memo kernels to attribute, and parallel workers would need
+    per-process profilers.  ``memo`` is a prebuilt memo; ``memo_profile``
+    feeds the ``profile`` eviction policy and ``global_cache`` attaches a
+    cross-query :class:`~repro.memo.GlobalPlanCache` as the memo's shared
+    read-through tier — both build the memo, so they exclude ``memo``.
+    ``parallel_policy``, ``worker_trace_dir`` and ``start_method``
+    configure the parallel runtime and are ignored for serial runs.  A
+    budget on an ``@N`` run bounds the finishing pass (the level rounds
+    run unbudgeted in worker processes).
     """
-    base, suffix_budget = split_budget(resolve_alias(name))
-    base, suffix_topk = split_topk(base)
-    base, memo_spec = split_memo_policy(base)
-    base, suffix_workers = split_workers(base)
-    if budget is None:
-        budget = suffix_budget
-    if top_k is None:
-        top_k = suffix_topk
-    if workers is None:
-        workers = suffix_workers
-    spec = parse_name(base)
-    if (budget is not None or top_k is not None) and not spec.top_down:
-        raise ValueError(
-            f"{name!r}: anytime budgets and ranked enumeration require "
-            "top-down partition search"
-        )
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if top_k is not None and workers is not None:
-        raise ValueError(
-            f"{name!r}: ranked enumeration is serial-only (ranked memo "
-            "cells live in one memo); drop ^k or the @N worker count"
-        )
-
-    wants_memo_config = (
-        memo_spec is not None
-        or memo_policy is not None
-        or memo_capacity is not None
-        or memo_cold_capacity is not None
-        or memo_profile is not None
-        or global_cache is not None
+    config = (
+        name_or_config
+        if isinstance(name_or_config, OptimizerConfig)
+        else OptimizerConfig.parse(name_or_config)
     )
-    if wants_memo_config:
+    spec = config.spec
+    if config.memo is not None or memo_profile is not None or global_cache is not None:
         if memo is not None:
             raise ValueError(
                 "pass either a prebuilt memo or memo policy settings, not both"
             )
         if not spec.top_down:
-            raise ValueError(
-                f"{name!r}: memo policies require a top-down algorithm"
-            )
-        if memo_policy is None:
-            memo_policy = memo_spec.policy if memo_spec is not None else "lru"
-        if memo_capacity is None and memo_spec is not None:
-            memo_capacity = memo_spec.capacity
-        if memo_cold_capacity is None:
-            memo_cold_capacity = (
-                memo_spec.cold_capacity if memo_spec is not None else 0
-            )
+            raise ValueError(f"{config}: memo policies require a top-down algorithm")
+        memo_spec = config.memo if config.memo is not None else MemoSpec("lru")
         memo = MemoTable(
-            capacity=memo_capacity,
-            policy=memo_policy,
-            cold_capacity=memo_cold_capacity,
+            capacity=memo_spec.capacity,
+            policy=memo_spec.policy,
+            cold_capacity=memo_spec.cold_capacity,
             profile=memo_profile,
             shared=global_cache,
         )
-    if profiler is not None and (workers is not None or not spec.top_down):
+    if profiler is not None and (config.workers is not None or not spec.top_down):
         raise ValueError(
-            f"{name!r}: kernel profiling requires a serial top-down algorithm"
+            f"{config}: kernel profiling requires a serial top-down algorithm"
         )
-    if workers is not None:
-        if not spec.top_down:
-            raise ValueError(
-                f"{name!r}: parallel execution requires a top-down algorithm"
-            )
+    if config.workers is not None:
         # lint: disable=import-layering -- documented inversion: the "@N"
         # suffix names a parallel run, so the factory must construct the
         # runtime one layer above it; lazy keeps import time acyclic.
@@ -590,8 +495,8 @@ def make_optimizer(
 
         return ParallelEnumerator(
             query,
-            base,
-            workers,
+            spec.name,
+            config.workers,
             policy=parallel_policy,
             cost_model=cost_model,
             memo=memo,
@@ -601,7 +506,7 @@ def make_optimizer(
             trace_dir=worker_trace_dir,
             start_method=start_method,
             global_cache=global_cache,
-            budget=budget,
+            budget=config.budget,
         )
     if spec.top_down:
         return TopDownEnumerator(
@@ -614,8 +519,8 @@ def make_optimizer(
             tracer=tracer,
             registry=registry,
             profiler=profiler,
-            default_budget=budget,
-            default_topk=top_k,
+            default_budget=config.budget,
+            default_topk=config.top_k,
         )
     if memo is not None:
         raise ValueError("bottom-up algorithms manage their own plan table")
@@ -633,7 +538,7 @@ def make_optimizer(
 
 
 def optimize(
-    name: str,
+    name: str | OptimizerConfig,
     query: Query,
     cost_model: CostModel | None = None,
     *,

@@ -6,9 +6,9 @@ event loop stays responsive while CPU-bound enumeration runs; the
 concurrent worker threads safe against each other and against
 event-loop-side lookups.
 
-Plan caches are namespaced by serial algorithm family
-(:attr:`~repro.serve.protocol.OptimizeRequest.serial_base`): every
-configuration of one family — serial, ``@N`` parallel, ``%policy``
+Plan caches are namespaced by serial algorithm family (the
+``config.spec.name`` of :class:`~repro.serve.protocol.OptimizeRequest`):
+every configuration of one family — serial, ``@N`` parallel, ``%policy``
 memo-bounded — searches the same plan space and shares one cache, while
 e.g. left-deep plans can never answer a bushy request.  Top-down
 algorithms attach the family cache as their memo's shared tier, so even
@@ -25,7 +25,7 @@ from repro.memo import GlobalPlanCache
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.plans.physical import Plan
-from repro.registry import make_optimizer, parse_name
+from repro.registry import make_optimizer
 from repro.serve.protocol import OptimizeOutcome, OptimizeRequest
 from repro.serve.queue import InFlight, RequestQueue
 from repro.serve.stats import ServiceStats
@@ -73,7 +73,7 @@ class Dispatcher:
 
     def lookup(self, request: OptimizeRequest) -> Plan | None:
         """Probe the family cache for the request's full-query plan."""
-        cache = self.cache_for(request.serial_base)
+        cache = self.cache_for(request.config.spec.name)
         full = request.query.graph.all_vertices
         entry = cache.peek(request.query, full, None)
         if entry is None or not entry.has_plan:
@@ -92,34 +92,26 @@ class Dispatcher:
         top-k list; their exhaustive champion pass still deposits every
         optimal sub-plan in the family cache.
         """
-        cache = self.cache_for(request.serial_base)
+        config = request.config
+        cache = self.cache_for(config.spec.name)
         registry = MetricsRegistry() if self._collect else None
-        top_down = parse_name(request.serial_base).top_down
+        top_down = config.spec.top_down
         tracer = self._tracer
         if tracer is not None and not tracer.enabled:
             tracer = None
 
         def run() -> OptimizeOutcome:
-            if top_down:
-                # The shared tier both answers sub-expressions and
-                # receives every stored plan, final full-query cell
-                # included.
-                optimizer = make_optimizer(
-                    request.resolved,
-                    request.query,
-                    registry=registry,
-                    tracer=tracer,
-                    global_cache=cache,
-                    budget=request.budget,
-                    top_k=request.top_k,
-                )
-            else:
-                optimizer = make_optimizer(
-                    request.resolved, request.query,
-                    registry=registry, tracer=tracer,
-                )
-            if request.top_k is not None:
-                ranked = optimizer.optimize_topk(request.top_k)
+            # Top-down, the shared tier both answers sub-expressions and
+            # receives every stored plan, final full-query cell included.
+            optimizer = make_optimizer(
+                config,
+                request.query,
+                registry=registry,
+                tracer=tracer,
+                global_cache=cache if top_down else None,
+            )
+            if config.top_k is not None:
+                ranked = optimizer.optimize_topk(config.top_k)
                 return OptimizeOutcome(
                     plan=ranked[0], ranked=tuple(ranked)
                 )

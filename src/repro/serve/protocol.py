@@ -14,15 +14,17 @@ plus name-keyed predicates)::
         "relations": [["a", 1000], ["b", 500, 64]],
         "predicates": [["a", "b", 0.01]]}}
 
-Optional fields: ``algorithm`` (any registry name or alias, default
-``TBNmc``), ``tenant`` (quota bucket, default ``"default"``),
-``budget_ms`` / ``budget_nodes`` (anytime limits — the response gains an
-``anytime`` gap-bound block, see ``docs/anytime.md``), and ``top_k``
-(rank the k cheapest distinct plans; the response gains a ``topk``
-block).  ``top_k`` is exhaustive and therefore mutually exclusive with
-the budget fields; both require a top-down algorithm.  Explicit fields
-override any ``?budget`` / ``^k`` suffix on ``algorithm``.
-Control operations use ``op``: ``{"op": "ping"}`` and ``{"op": "stats"}``.
+Optional fields: ``algorithm`` (any registry name or alias with the
+registry's suffixes, default ``TBNmc``) and ``tenant`` (quota bucket,
+default ``"default"``).  The algorithm name carries the whole optimizer
+configuration of :class:`~repro.registry.OptimizerConfig`: a ``?budget``
+suffix (``TBNmcAP?5n``) makes the search anytime and adds an ``anytime``
+gap-bound block to the response (``docs/anytime.md``), a ``^k`` suffix
+(``TBNmc^3``) ranks the k cheapest distinct plans into a ``topk`` block.
+The retired ``budget_ms`` / ``budget_nodes`` / ``top_k`` fields are
+rejected with the suffix to use instead, so no client silently loses a
+bound.  Control operations use ``op``: ``{"op": "ping"}`` and
+``{"op": "stats"}``.
 
 Responses carry ``status`` (``ok`` / ``error`` / ``rejected``), and on
 success the plan payload of :func:`plan_payload` plus ``cached`` /
@@ -31,15 +33,15 @@ structure of :class:`~repro.catalog.parser.QuerySyntaxError` under
 ``error`` — the service's 400-equivalent.
 
 Canonicalization: two requests are *identical work* iff they resolve to
-the same serial algorithm family (worker-count and memo-policy suffixes
-stripped — those change the execution strategy, not the answer space)
-and the same :func:`~repro.memo.canonical_expression_key` over the full
-vertex set, i.e. the same relation names, statistics, and predicate
-signature regardless of declaration order or vertex numbering.  That
-tuple — extended with the effective budget token and ``top_k`` depth,
-since a truncated or ranked search is *different work* whose answer must
-never stand in for the exact champion — is the plan-cache and
-single-flight key.
+the same serial algorithm family (the config's ``spec.name``: ``@N`` and
+``%policy`` suffixes change the execution strategy, not the answer
+space) and the same :func:`~repro.memo.canonical_expression_key` over
+the full vertex set, i.e. the same relation names, statistics, and
+predicate signature regardless of declaration order or vertex numbering.
+That tuple — extended with the budget token and ``^k`` depth, since a
+truncated or ranked search is *different work* whose answer must never
+stand in for the exact champion — is the plan-cache and single-flight
+key.
 """
 
 from __future__ import annotations
@@ -48,19 +50,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.anytime import AnytimeReport, Budget
+from repro.anytime import AnytimeReport
 from repro.catalog.parser import QuerySyntaxError, parse_query
 from repro.catalog.query import Query
 from repro.catalog.stats import Catalog
 from repro.memo import canonical_expression_key
 from repro.plans.physical import Plan
-from repro.registry import (
-    parse_name,
-    resolve_alias,
-    split_budget,
-    split_topk,
-    split_workers,
-)
+from repro.registry import OptimizerConfig
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -81,6 +77,14 @@ __all__ = [
 PROTOCOL_VERSION = 1
 DEFAULT_ALGORITHM = "TBNmc"
 DEFAULT_TENANT = "default"
+
+#: Request fields the ``algorithm`` suffixes replaced, with the suffix
+#: to use instead.
+_RETIRED_FIELDS = {
+    "budget_ms": "?<ms>ms (e.g. TBNmcAP?250ms)",
+    "budget_nodes": "?<nodes>n (e.g. TBNmcAP?500n)",
+    "top_k": "^<k> (e.g. TBNmc^3)",
+}
 
 
 class RequestError(ValueError):
@@ -106,28 +110,17 @@ class RequestError(ValueError):
 class OptimizeRequest:
     """One admitted unit of optimization work.
 
-    ``resolved`` is the full resolved registry name (suffixes included)
-    that dispatch will execute; ``serial_base`` is the underlying serial
-    algorithm (bounding suffix kept, ``@N``/``%policy`` stripped) that
-    namespaces the plan cache — configurations of one serial algorithm
-    search the same space and may share plans, different spaces must not.
-
-    ``budget`` / ``top_k`` are the *effective* anytime and ranking
-    settings: the explicit ``budget_ms``/``budget_nodes``/``top_k``
-    payload fields when given, else whatever ``?budget``/``^k`` suffix
-    rode in on the algorithm name.  Dispatch passes them explicitly to
-    :func:`~repro.registry.make_optimizer` (explicit wins over suffix,
-    so the two routes agree).
+    ``config`` is the parsed ``algorithm`` field that dispatch executes.
+    Its ``spec.name`` — the serial algorithm, with ``@N``/``%policy``
+    dropped — namespaces the plan cache: configurations of one serial
+    algorithm search the same space and may share plans, different
+    spaces must not.
     """
 
     request_id: object
     tenant: str
-    algorithm: str
-    resolved: str
-    serial_base: str
+    config: OptimizerConfig
     query: Query
-    budget: Budget | None = None
-    top_k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -226,15 +219,18 @@ def build_request(
     if not isinstance(algorithm, str):
         raise RequestError("'algorithm' must be a string")
     try:
-        resolved = resolve_alias(algorithm)
-        serial_base = parse_name(resolved).name
+        config = OptimizerConfig.parse(algorithm)
     except ValueError as exc:
         raise RequestError(str(exc)) from None
+    for field, suffix in _RETIRED_FIELDS.items():
+        if field in payload:
+            raise RequestError(
+                f"{field!r} is no longer a request field; add a {suffix} "
+                "suffix to 'algorithm' instead"
+            )
     tenant = payload.get("tenant", DEFAULT_TENANT)
     if not isinstance(tenant, str) or not tenant:
         raise RequestError("'tenant' must be a non-empty string")
-
-    budget, top_k = _limits_from(payload, resolved)
 
     text = payload.get("query")
     graph = payload.get("graph")
@@ -253,67 +249,9 @@ def build_request(
     return OptimizeRequest(
         request_id=payload.get("id"),
         tenant=tenant,
-        algorithm=algorithm,
-        resolved=resolved,
-        serial_base=serial_base,
+        config=config,
         query=query,
-        budget=budget,
-        top_k=top_k,
     )
-
-
-def _limits_from(
-    payload: dict[str, Any], resolved: str
-) -> tuple[Budget | None, int | None]:
-    """The effective (budget, top_k) of a request.
-
-    Explicit payload fields win over the resolved name's suffixes; the
-    cross-field rules (exhaustive ranking vs truncated search, top-down
-    only, serial only) are enforced here so they fail as ``status:
-    error`` responses rather than worker-thread exceptions.
-    """
-    budget_ms = payload.get("budget_ms")
-    budget_nodes = payload.get("budget_nodes")
-    top_k = payload.get("top_k")
-    if budget_ms is not None:
-        if isinstance(budget_ms, bool) or not isinstance(budget_ms, (int, float)):
-            raise RequestError("'budget_ms' must be a number")
-        budget_ms = float(budget_ms)
-    if budget_nodes is not None:
-        if isinstance(budget_nodes, bool) or not isinstance(budget_nodes, int):
-            raise RequestError("'budget_nodes' must be an integer")
-    if top_k is not None:
-        if isinstance(top_k, bool) or not isinstance(top_k, int):
-            raise RequestError("'top_k' must be an integer")
-
-    budget: Budget | None = None
-    if budget_ms is not None or budget_nodes is not None:
-        try:
-            budget = Budget(max_nodes=budget_nodes, deadline_ms=budget_ms)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
-    if budget is None:
-        _, budget = split_budget(resolved)
-    if top_k is None:
-        _, top_k = split_topk(resolved)
-    elif top_k < 1:
-        raise RequestError(f"'top_k' must be >= 1, got {top_k}")
-
-    if budget is not None or top_k is not None:
-        if not parse_name(resolved).top_down:
-            raise RequestError(
-                "budget and top_k require a top-down algorithm"
-            )
-    if top_k is not None:
-        if budget_ms is not None or budget_nodes is not None:
-            raise RequestError(
-                "top_k ranks plans exhaustively; drop budget_ms/budget_nodes"
-            )
-        if split_workers(resolved)[1] is not None:
-            raise RequestError(
-                "top_k ranking is serial-only; drop the @N worker suffix"
-            )
-    return budget, top_k
 
 
 def cache_key(request: OptimizeRequest) -> Hashable:
@@ -326,11 +264,11 @@ def cache_key(request: OptimizeRequest) -> Hashable:
     answer a ranked request.
     """
     full = request.query.graph.all_vertices
-    budget = request.budget
+    config = request.config
     return (
-        request.serial_base,
-        None if budget is None else budget.token(),
-        request.top_k,
+        config.spec.name,
+        None if config.budget is None else config.budget.token(),
+        config.top_k,
         canonical_expression_key(request.query, full, None),
     )
 

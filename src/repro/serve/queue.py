@@ -93,11 +93,11 @@ class RequestQueue:
         """Block for the next batch of same-family work; ``None`` = closed.
 
         The first queued item anchors the batch; further ready items are
-        taken greedily (without blocking) while they share its
-        ``serial_base``, up to ``batch_size``.  Incompatible items are
-        requeued behind it — order within a family is preserved, across
-        families it may rotate, which is harmless: every item still runs
-        exactly once.
+        taken greedily (without blocking) while they share its serial
+        algorithm (``config.spec.name``), up to ``batch_size``.
+        Incompatible items are requeued behind it — order within a family
+        is preserved, across families it may rotate, which is harmless:
+        every item still runs exactly once.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -116,7 +116,7 @@ class RequestQueue:
             if item is None:
                 self._ready.put_nowait(None)
                 break
-            if item.request.serial_base == anchor.request.serial_base:
+            if item.request.config.spec.name == anchor.request.config.spec.name:
                 batch.append(item)
             else:
                 requeue.append(item)

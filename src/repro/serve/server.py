@@ -237,14 +237,14 @@ class PlanServer:
     async def _answer(self, request: OptimizeRequest) -> dict[str, Any]:
         started = clock()
         outcome: OptimizeOutcome | None = None
-        if request.top_k is None:
+        if request.config.top_k is None:
             # Ranked requests bypass the lookup: the family cache holds
             # champions only, and rank 1..k-1 cannot be reconstructed
             # from a champion cell.
             plan = self.dispatcher.lookup(request)
             if plan is not None:
                 anytime = None
-                if request.budget is not None:
+                if request.config.budget is not None:
                     # A cached champion is the exact optimum, which
                     # trivially satisfies any budget: certify gap zero
                     # without spending a node.
@@ -280,7 +280,7 @@ class PlanServer:
         response = {
             "id": request.request_id,
             "status": "ok",
-            "algorithm": request.resolved,
+            "algorithm": str(request.config),
             "cached": cached,
             "deduped": deduped,
             "elapsed_ms": elapsed * 1e3,
@@ -290,7 +290,7 @@ class PlanServer:
             response["anytime"] = outcome.anytime.to_dict()
         if outcome.ranked is not None:
             response["topk"] = {
-                "k": request.top_k,
+                "k": request.config.top_k,
                 "returned": len(outcome.ranked),
                 "plans": [plan_payload(p) for p in outcome.ranked],
             }

@@ -301,9 +301,8 @@ def test_optimal_under_every_policy_and_capacity(topology, policy, capacity):
     """Eviction never costs optimality: plans match unbounded memoization."""
     query = make_query(topology, 6, 11)
     best = make_optimizer("TBNmc", query).optimize()
-    plan = make_optimizer(
-        "TBNmc", query, memo_policy=policy, memo_capacity=capacity
-    ).optimize()
+    suffix = f"%{policy}" if capacity is None else f"%{policy}:{capacity}"
+    plan = make_optimizer("TBNmc" + suffix, query).optimize()
     assert plan.cost == best.cost
     assert plan.to_wire() == best.to_wire()
 
@@ -312,10 +311,7 @@ def test_optimal_under_every_policy_and_capacity(topology, policy, capacity):
 def test_optimal_with_cold_tier(topology):
     query = make_query(topology, 6, 11)
     best = make_optimizer("TBNmc", query).optimize()
-    optimizer = make_optimizer(
-        "TBNmc", query, memo_policy="cost", memo_capacity=8,
-        memo_cold_capacity=8,
-    )
+    optimizer = make_optimizer("TBNmc%cost:8:8", query)
     plan = optimizer.optimize()
     assert plan.cost == best.cost
     assert optimizer.memo.stats.demotions > 0
@@ -330,8 +326,7 @@ def test_profile_policy_optimal_with_real_profile():
     profile = CostProfile.from_tracer(tracer)
     assert len(profile) > 0
     plan = make_optimizer(
-        "TBNmc", query, memo_policy="profile", memo_capacity=8,
-        memo_profile=profile,
+        "TBNmc%profile:8", query, memo_profile=profile
     ).optimize()
     assert plan.cost == best.cost
 
@@ -341,9 +336,7 @@ def test_bounded_variants_stay_optimal_under_cost_eviction():
     query = make_query("cycle", 7, 5)
     best = make_optimizer("TBNmc", query).optimize()
     for name in ("TBNmcA", "TBNmcP", "TBNmcAP"):
-        plan = make_optimizer(
-            name, query, memo_policy="cost", memo_capacity=16
-        ).optimize()
+        plan = make_optimizer(f"{name}%cost:16", query).optimize()
         assert plan.cost == best.cost, name
 
 
@@ -359,9 +352,7 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     def test_occupancy_never_exceeds_capacity(self, capacity, seed, policy):
         query = make_query("chain", 6, seed)
-        optimizer = make_optimizer(
-            "TBNmc", query, memo_policy=policy, memo_capacity=capacity
-        )
+        optimizer = make_optimizer(f"TBNmc%{policy}:{capacity}", query)
         optimizer.optimize()
         memo = optimizer.memo
         assert len(memo) <= capacity
@@ -372,10 +363,7 @@ class TestProperties:
     @settings(max_examples=20, deadline=None)
     def test_cold_hits_are_counted_and_saved_cost_positive(self, cold, seed):
         query = make_query("star", 6, seed)
-        optimizer = make_optimizer(
-            "TBNmc", query, memo_policy="cost", memo_capacity=4,
-            memo_cold_capacity=cold,
-        )
+        optimizer = make_optimizer(f"TBNmc%cost:4:{cold}", query)
         optimizer.optimize()
         stats = optimizer.memo.stats
         assert stats.demotions == stats.evictions

@@ -286,7 +286,7 @@ class TestParallelCli:
         base = ["optimize", "--topology", "clique", "--n", "8",
                 "--seed", "42", "--json"]
         serial = self._cost_of(capsys, base)
-        parallel = self._cost_of(capsys, base + ["--workers", "2"])
+        parallel = self._cost_of(capsys, base + ["--algorithm", "TBNmc@2"])
         assert parallel["cost"] == serial["cost"]
         assert parallel["plan"] == serial["plan"]
         assert parallel["parallel"]["workers"] == 2
@@ -306,7 +306,7 @@ class TestParallelCli:
                 "--n", "7", "--json"]
         serial = self._cost_of(capsys, base)
         subtree = self._cost_of(
-            capsys, base + ["--workers", "2", "--fork-policy", "subtree"]
+            capsys, base + ["--algorithm", "TBNmcA@2", "--fork-policy", "subtree"]
         )
         assert subtree["cost"] == serial["cost"]
         assert subtree["parallel"]["policy"] == "subtree"
@@ -315,7 +315,7 @@ class TestParallelCli:
         payload = self._cost_of(
             capsys,
             ["optimize", "--topology", "chain", "--n", "6", "--json",
-             "--workers", "2", "--worker-trace-dir", str(tmp_path)],
+             "--algorithm", "TBNmc@2", "--worker-trace-dir", str(tmp_path)],
         )
         traces = payload["parallel"]["worker_traces"]
         assert len(traces) == 2
@@ -324,7 +324,7 @@ class TestParallelCli:
 
 
 class TestMemoCli:
-    """The --memo-* optimize flags and the profile-memo subcommand."""
+    """``%policy`` memo names, --memo-profile and the profile-memo subcommand."""
 
     def _json_of(self, capsys, argv):
         import json
@@ -334,22 +334,20 @@ class TestMemoCli:
 
     def test_memo_flags_parse(self):
         args = build_parser().parse_args([
-            "optimize", "--memo-policy", "cost", "--memo-capacity", "64",
-            "--memo-cold-capacity", "32", "--memo-profile", "p.json",
+            "optimize", "--algorithm", "TBNmc%cost:64:32",
+            "--memo-profile", "p.json",
         ])
-        assert args.memo_policy == "cost"
-        assert args.memo_capacity == 64
-        assert args.memo_cold_capacity == 32
+        assert args.algorithm == "TBNmc%cost:64:32"
         assert args.memo_profile == "p.json"
 
-    def test_memo_policy_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["optimize", "--memo-policy", "random"])
+    def test_memo_policy_rejects_unknown(self, capsys):
+        assert main(["optimize", "--algorithm", "TBNmc%random"]) == 2
+        assert "unknown memo policy" in capsys.readouterr().err
 
     def test_json_memo_block(self, capsys):
         payload = self._json_of(capsys, [
             "optimize", "--topology", "star", "--n", "6", "--seed", "5",
-            "--memo-policy", "cost", "--memo-capacity", "10", "--json",
+            "--algorithm", "TBNmc%cost:10", "--json",
         ])
         memo = payload["memo"]
         assert memo["policy"] == "cost"
@@ -364,10 +362,7 @@ class TestMemoCli:
         base = ["optimize", "--topology", "clique", "--n", "6",
                 "--seed", "5", "--json"]
         unbounded = self._json_of(capsys, base)
-        bounded = self._json_of(capsys, base + [
-            "--memo-policy", "cost", "--memo-capacity", "8",
-            "--memo-cold-capacity", "8",
-        ])
+        bounded = self._json_of(capsys, base + ["--algorithm", "TBNmc%cost:8:8"])
         assert bounded["cost"] == unbounded["cost"]
         assert bounded["plan"] == unbounded["plan"]
         assert bounded["memo"]["demotions"] > 0
@@ -375,7 +370,7 @@ class TestMemoCli:
     def test_text_mode_prints_memo_line(self, capsys):
         assert main([
             "optimize", "--topology", "star", "--n", "6",
-            "--memo-policy", "lru", "--memo-capacity", "8",
+            "--algorithm", "TBNmc%lru:8",
         ]) == 0
         out = capsys.readouterr().out
         assert "memo: lru policy, capacity 8" in out
@@ -390,7 +385,7 @@ class TestMemoCli:
 
     def test_bad_profile_path_fails_cleanly(self, capsys):
         code = main([
-            "optimize", "--memo-policy", "profile",
+            "optimize", "--algorithm", "TBNmc%profile",
             "--memo-profile", "/nonexistent/profile.json",
         ])
         assert code == 2
@@ -406,8 +401,7 @@ class TestMemoCli:
         assert "profile:" in message and out in message
         payload = self._json_of(capsys, [
             "optimize", "--topology", "star", "--n", "6", "--seed", "5",
-            "--memo-policy", "profile", "--memo-capacity", "10",
-            "--memo-profile", out, "--json",
+            "--algorithm", "TBNmc%profile:10", "--memo-profile", out, "--json",
         ])
         assert payload["memo"]["policy"] == "profile"
         assert payload["cost"] > 0
@@ -437,3 +431,53 @@ class TestMemoCli:
         ])
         assert code == 2
         assert "cannot build profile" in capsys.readouterr().err
+
+
+class TestAlgorithmErrors:
+    """A rejected ``--algorithm`` is one ``error:`` line and exit status 2."""
+
+    @pytest.mark.parametrize(
+        "command", ["optimize", "trace", "profile", "explain", "profile-memo", "run"]
+    )
+    @pytest.mark.parametrize(
+        "algorithm", ["TBNmc^0", "TBNmc%bogus", "BBNccp?10n", "TBNmc?1n^3", "XXNmc"]
+    )
+    def test_bad_algorithm_exits_2(self, capsys, tmp_path, command, algorithm):
+        argv = [command, "--algorithm", algorithm, "--n", "4"]
+        if command == "profile-memo":
+            argv += ["--out", str(tmp_path / "p.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "p.json").exists()
+
+    def test_serve_rejects_bad_default_algorithm_at_startup(self, capsys):
+        assert main(["serve", "--algorithm", "TBNmc@0", "--once"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_incompatible_runtime_flag_exits_2(self, capsys, tmp_path):
+        code = main([
+            "optimize", "--algorithm", "TBNmc@2", "--n", "4",
+            "--profile-out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        assert "serial top-down" in capsys.readouterr().err
+
+    def test_removed_flags_are_gone(self):
+        for flag in ("--workers", "--memo-policy", "--memo-capacity",
+                     "--memo-cold-capacity", "--budget-ms", "--budget-nodes",
+                     "--top-k"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["optimize", flag, "1"])
+
+    def test_ranked_and_budgeted_names(self, capsys):
+        import json
+
+        assert main(["optimize", "--algorithm", "TBNmc^3", "--n", "5",
+                     "--json"]) == 0
+        ranked = json.loads(capsys.readouterr().out)
+        assert ranked["topk"]["k"] == 3 and ranked["topk"]["returned"] == 3
+        assert main(["optimize", "--algorithm", "TBNmcAP?5n", "--n", "6",
+                     "--json"]) == 0
+        budgeted = json.loads(capsys.readouterr().out)
+        assert budgeted["anytime"]["nodes_spent"] <= 5

@@ -22,7 +22,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.registry import TIME_BETWEEN_JOINS
-from repro.registry import available_algorithms, make_optimizer, resolve_alias
+from repro.registry import OptimizerConfig, available_algorithms, make_optimizer, parse_name
 from tests.helpers import make_query
 
 
@@ -368,7 +368,7 @@ class TestAliases:
         ],
     )
     def test_resolve(self, alias, canonical):
-        assert resolve_alias(alias) == canonical
+        assert OptimizerConfig.parse(alias).spec == parse_name(canonical)
 
     def test_alias_optimizes(self):
         query = make_query("clique", 5, 3)

@@ -180,9 +180,7 @@ class TestRegistryGuards:
     def test_profiler_with_workers_rejected(self):
         query = weighted_query(clique(6), 1)
         with pytest.raises(ValueError, match="serial top-down"):
-            make_optimizer(
-                "TBNmc", query, workers=2, profiler=RecordingProfiler()
-            )
+            make_optimizer("TBNmc@2", query, profiler=RecordingProfiler())
 
     def test_profiler_with_bottom_up_rejected(self):
         query = weighted_query(clique(6), 1)

@@ -28,7 +28,7 @@ from repro.parallel import (
     partition_frontier,
     trace_weights,
 )
-from repro.registry import make_optimizer, optimize, parse_name, resolve_alias, split_workers
+from repro.registry import OptimizerConfig, make_optimizer, optimize, parse_name
 from repro.spaces import PlanSpace
 from repro.workloads import chain, clique, cycle, star
 from repro.workloads.weights import weighted_query
@@ -165,7 +165,7 @@ class TestIdentity:
     def test_cost_and_shape_match_serial(self, topology, algorithm, workers):
         query = _QUERIES[topology]
         serial = optimize(algorithm, query)
-        parallel = make_optimizer(algorithm, query, workers=workers).optimize()
+        parallel = make_optimizer(f"{algorithm}@{workers}", query).optimize()
         assert parallel.cost == serial.cost
         assert parallel == serial  # full plan-tree equality, not just cost
 
@@ -174,14 +174,14 @@ class TestIdentity:
         query = _QUERIES["clique"]
         serial = optimize(algorithm, query)
         parallel = make_optimizer(
-            algorithm, query, workers=2, parallel_policy="subtree"
+            f"{algorithm}@2", query, parallel_policy="subtree"
         ).optimize()
         assert parallel.cost == serial.cost
 
     def test_larger_clique_matches_serial(self):
         query = make_query("clique", 8, 11)
         serial = optimize("TBNmc", query)
-        parallel = make_optimizer("TBNmc", query, workers=2).optimize()
+        parallel = make_optimizer("TBNmc@2", query).optimize()
         assert parallel.cost == serial.cost
         assert parallel == serial
 
@@ -189,21 +189,21 @@ class TestIdentity:
         query = _QUERIES["chain"]
         enum = make_optimizer("TBNmc", query)
         serial = enum.optimize(order=0)
-        parallel = make_optimizer("TBNmc", query, workers=2).optimize(order=0)
+        parallel = make_optimizer("TBNmc@2", query).optimize(order=0)
         assert parallel.cost == serial.cost
         assert parallel.order == serial.order
 
     def test_tiny_query_falls_back_to_serial(self):
         query = make_query("chain", 3, 5)
-        parallel = make_optimizer("TBNmc", query, workers=4)
+        parallel = make_optimizer("TBNmc@4", query)
         plan = parallel.optimize()
         assert plan.cost == optimize("TBNmc", query).cost
         assert parallel.worker_results == []  # no pool was spun up
 
     def test_repeated_runs_are_identical(self):
         query = _QUERIES["cycle"]
-        first = make_optimizer("TBNmc", query, workers=3).optimize()
-        second = make_optimizer("TBNmc", query, workers=3).optimize()
+        first = make_optimizer("TBNmc@3", query).optimize()
+        second = make_optimizer("TBNmc@3", query).optimize()
         assert first == second
 
 
@@ -218,7 +218,7 @@ class TestMetricsConservation:
 
         metrics, registry = Metrics(), MetricsRegistry()
         make_optimizer(
-            "TBNmc", query, metrics=metrics, registry=registry, workers=3
+            "TBNmc@3", query, metrics=metrics, registry=registry
         ).optimize()
 
         assert metrics.join_operators_costed == serial_metrics.join_operators_costed
@@ -240,7 +240,7 @@ class TestMetricsConservation:
         query = _QUERIES["star"]
         metrics, registry = Metrics(), MetricsRegistry()
         make_optimizer(
-            "TBNmc", query, metrics=metrics, registry=registry, workers=2
+            "TBNmc@2", query, metrics=metrics, registry=registry
         ).optimize()
         assert (
             registry.histogram(TIME_BETWEEN_JOINS).count
@@ -250,7 +250,7 @@ class TestMetricsConservation:
     def test_parallel_counters_are_populated(self):
         query = _QUERIES["clique"]
         metrics = Metrics()
-        make_optimizer("TBNmc", query, metrics=metrics, workers=2).optimize()
+        make_optimizer("TBNmc@2", query, metrics=metrics).optimize()
         assert metrics.parallel_tasks == 2**6 - 2  # every proper subset once
         assert metrics.parallel_entries_merged > 0
 
@@ -270,7 +270,7 @@ class TestRuntime:
     def test_worker_traces_written(self, tmp_path):
         query = _QUERIES["chain"]
         enum = make_optimizer(
-            "TBNmc", query, workers=2, worker_trace_dir=str(tmp_path)
+            "TBNmc@2", query, worker_trace_dir=str(tmp_path)
         )
         enum.optimize()
         for result in enum.worker_results:
@@ -295,7 +295,7 @@ class TestRuntime:
     def test_seeded_memo_contains_all_levels(self):
         query = _QUERIES["cycle"]
         memo = MemoTable()
-        enum = make_optimizer("TBNmc", query, memo=memo, workers=2)
+        enum = make_optimizer("TBNmc@2", query, memo=memo)
         enum.optimize()
         graph = query.graph
         expected = {s for level in level_frontiers(graph, enum.space) for s in level}
@@ -307,31 +307,21 @@ class TestRuntime:
 
 
 class TestNameGrammar:
-    def test_split_workers(self):
-        assert split_workers("TBNmc") == ("TBNmc", None)
-        assert split_workers("TBNmc@4") == ("TBNmc", 4)
+    def test_worker_suffix(self):
+        assert OptimizerConfig.parse("TBNmc").workers is None
+        assert OptimizerConfig.parse("TBNmc@4").workers == 4
         with pytest.raises(ValueError):
-            split_workers("TBNmc@zero")
+            OptimizerConfig.parse("TBNmc@zero")
         with pytest.raises(ValueError):
-            split_workers("TBNmc@0")
-
-    def test_resolve_alias_keeps_and_overrides_counts(self):
-        assert resolve_alias("mincutlazy@2") == "TBNmc@2"
-        assert resolve_alias("parallel") == "TBNmc@4"
-        assert resolve_alias("parallel@2") == "TBNmc@2"
-        assert resolve_alias("TLNmcAP@8") == "TLNmcAP@8"
+            OptimizerConfig.parse("TBNmc@0")
 
     def test_parse_name_ignores_worker_count(self):
-        assert parse_name("TBNmc@4") == parse_name("TBNmc")
+        assert OptimizerConfig.parse("TBNmc@4").spec == parse_name("TBNmc")
 
     def test_suffix_builds_parallel_enumerator(self):
         enum = make_optimizer("TBNmc@2", _QUERIES["chain"])
         assert isinstance(enum, ParallelEnumerator)
         assert enum.workers == 2
-
-    def test_explicit_workers_override_suffix(self):
-        enum = make_optimizer("TBNmc@2", _QUERIES["chain"], workers=3)
-        assert enum.workers == 3
 
     def test_alias_via_one_shot_optimize(self):
         query = _QUERIES["star"]
@@ -339,6 +329,6 @@ class TestNameGrammar:
 
     def test_bottom_up_with_workers_rejected(self):
         with pytest.raises(ValueError, match="top-down"):
-            make_optimizer("BBNccp", _QUERIES["chain"], workers=2)
+            make_optimizer("BBNccp@2", _QUERIES["chain"])
         with pytest.raises(ValueError):
             make_optimizer("dpccp@2", _QUERIES["chain"])

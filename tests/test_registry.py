@@ -1,22 +1,27 @@
 """Tests for the Table 1 algorithm registry."""
 
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 
 from repro.bottomup import DPccp, DPsize, DPsub
 from repro.enumerator import Bounding, TopDownEnumerator
+from repro.anytime import Budget
+from repro.cache.policies import POLICY_NAMES
 from repro.registry import (
     MemoSpec,
+    OptimizerConfig,
     available_algorithms,
     make_optimizer,
     optimize,
     parse_name,
-    split_memo_policy,
 )
 from repro.spaces import PlanSpace
 from repro.workloads import chain
@@ -123,28 +128,26 @@ class TestMemoSpecParsing:
     """The ``%policy[:capacity[:cold]]`` memo-bounding grammar."""
 
     def test_plain_name_has_no_spec(self):
-        assert split_memo_policy("TBNmc") == ("TBNmc", None)
+        assert OptimizerConfig.parse("TBNmc").memo is None
 
     def test_policy_only(self):
-        base, spec = split_memo_policy("TBNmc%cost")
-        assert base == "TBNmc"
-        assert spec == MemoSpec(policy="cost", capacity=None, cold_capacity=0)
+        config = OptimizerConfig.parse("TBNmc%cost")
+        assert config.spec == parse_name("TBNmc")
+        assert config.memo == MemoSpec(policy="cost", capacity=None, cold_capacity=0)
 
     def test_policy_capacity_cold(self):
-        _, spec = split_memo_policy("TBNmc%profile:64:32")
-        assert spec == MemoSpec(policy="profile", capacity=64, cold_capacity=32)
+        memo = OptimizerConfig.parse("TBNmc%profile:64:32").memo
+        assert memo == MemoSpec(policy="profile", capacity=64, cold_capacity=32)
 
     def test_workers_suffix_in_either_order(self):
-        assert split_memo_policy("TBNmc@2%cost:64") == (
-            "TBNmc@2", MemoSpec(policy="cost", capacity=64, cold_capacity=0)
+        expected = OptimizerConfig(
+            parse_name("TBNmc"), workers=2, memo=MemoSpec("cost", 64)
         )
-        assert split_memo_policy("TBNmc%cost:64@2") == (
-            "TBNmc@2", MemoSpec(policy="cost", capacity=64, cold_capacity=0)
-        )
+        assert OptimizerConfig.parse("TBNmc@2%cost:64") == expected
+        assert OptimizerConfig.parse("TBNmc%cost:64@2") == expected
 
     def test_policy_is_case_insensitive(self):
-        _, spec = split_memo_policy("TBNmc%COST:8")
-        assert spec.policy == "cost"
+        assert OptimizerConfig.parse("TBNmc%COST:8").memo.policy == "cost"
 
     def test_rejections(self):
         for bad in (
@@ -153,20 +156,20 @@ class TestMemoSpecParsing:
             "TBNmc%cost:-1",       # negative capacity
             "TBNmc%cost:8:x",      # non-integer cold capacity
             "TBNmc%cost:8:4:2",    # too many parts
+            "TBNmc%cost:8%lru",    # two memo suffixes
         ):
             with pytest.raises(ValueError):
-                split_memo_policy(bad)
+                OptimizerConfig.parse(bad)
 
     def test_alias_resolution_preserves_spec(self):
-        from repro.registry import resolve_alias
-
-        assert resolve_alias("mincutlazy%cost:64") == "TBNmc%cost:64"
-        assert resolve_alias("mincutlazy%cost:64:32@2") == "TBNmc@2%cost:64:32"
-        assert resolve_alias("parallel%lru:8") == "TBNmc@4%lru:8"
+        parse = OptimizerConfig.parse
+        assert parse("mincutlazy%cost:64") == parse("TBNmc%cost:64")
+        assert parse("mincutlazy%cost:64:32@2").memo == MemoSpec("cost", 64, 32)
+        assert parse("parallel%lru:8").workers == 4
 
     def test_parse_name_ignores_spec(self):
-        assert parse_name("TBNmc%cost:64").name == "TBNmc"
-        assert parse_name("tbnmcap%profile").bounding is not None
+        assert OptimizerConfig.parse("TBNmc%cost:64").spec.name == "TBNmc"
+        assert OptimizerConfig.parse("tbnmcap%profile").spec.bounding is not None
 
 
 class TestMemoConstruction:
@@ -180,17 +183,9 @@ class TestMemoConstruction:
         assert memo.capacity == 16
         assert memo.cold_capacity == 8
 
-    def test_explicit_args_win_over_suffix(self):
-        query = weighted_query(chain(4), 1)
-        optimizer = make_optimizer(
-            "TBNmc%lru:16", query, memo_policy="cost", memo_capacity=4
-        )
-        assert optimizer.memo.policy == "cost"
-        assert optimizer.memo.capacity == 4
-
     def test_policy_without_capacity_is_unbounded(self):
         query = weighted_query(chain(4), 1)
-        optimizer = make_optimizer("TBNmc", query, memo_policy="cost")
+        optimizer = make_optimizer("TBNmc%cost", query)
         assert optimizer.memo.capacity is None
         assert optimizer.memo.policy == "cost"
 
@@ -199,14 +194,12 @@ class TestMemoConstruction:
 
         query = weighted_query(chain(4), 1)
         with pytest.raises(ValueError, match="not both"):
-            make_optimizer(
-                "TBNmc", query, memo=MemoTable(), memo_policy="cost"
-            )
+            make_optimizer("TBNmc%cost", query, memo=MemoTable())
 
     def test_memo_policy_rejected_for_bottom_up(self):
         query = weighted_query(chain(4), 1)
         with pytest.raises(ValueError, match="top-down"):
-            make_optimizer("BBNccp", query, memo_policy="cost")
+            make_optimizer("BBNccp%cost", query)
 
     def test_global_cache_attaches_as_shared_tier(self):
         from repro.memo import GlobalPlanCache
@@ -222,8 +215,7 @@ class TestMemoConstruction:
         query = weighted_query(chain(4), 1)
         profile = CostProfile()
         optimizer = make_optimizer(
-            "TBNmc", query, memo_policy="profile", memo_capacity=8,
-            memo_profile=profile,
+            "TBNmc%profile:8", query, memo_profile=profile
         )
         assert optimizer.memo.profile is profile
 
@@ -232,3 +224,137 @@ class TestMemoConstruction:
         best = make_optimizer("TBNmc", query).optimize()
         plan = make_optimizer("TBNmc%cost:8:4@2", query).optimize()
         assert plan.cost == best.cost
+
+
+#: ``(input, canonical)`` pairs: every name spelling the registry
+#: promises, with the one canonical form ``str(config)`` writes back.
+CANONICAL_NAMES = [
+    ("TBNmc", "TBNmc"),
+    ("tbnMC", "TBNmc"),
+    ("tbnmcap%profile", "TBNmcAP%profile"),
+    ("TBNmc%cost", "TBNmc%cost"),
+    ("TBNmc%COST:8", "TBNmc%cost:8"),
+    ("TBNmc%profile:64:32", "TBNmc%profile:64:32"),
+    ("TBNmc%cost:64:0", "TBNmc%cost:64"),
+    ("TBNmc@2%cost:64", "TBNmc@2%cost:64"),
+    ("TBNmc%cost:64@2", "TBNmc@2%cost:64"),
+    ("TBNmc@4", "TBNmc@4"),
+    ("mincutlazy%cost:64", "TBNmc%cost:64"),
+    ("mincutlazy%cost:64:32@2", "TBNmc@2%cost:64:32"),
+    ("parallel%lru:8", "TBNmc@4%lru:8"),
+    ("mincutlazy@2", "TBNmc@2"),
+    ("parallel", "TBNmc@4"),
+    ("parallel@2", "TBNmc@2"),
+    ("TLNmcAP@8", "TLNmcAP@8"),
+    ("mincutlazy?100n@2", "TBNmc@2?100n"),
+    ("TBNmc^3", "TBNmc^3"),
+    ("TBNmc?250ms:5000n", "TBNmc?250ms:5000n"),
+    ("TBNmc?5000n:250ms", "TBNmc?250ms:5000n"),
+    ("TBNmcAP?2.5ms", "TBNmcAP?2.5ms"),
+    ("TBNmc?250ms%cost:64@2", "TBNmc@2%cost:64?250ms"),
+    ("mincutlazy", "TBNmc"),
+    ("mincut-lazy", "TBNmc"),
+    ("MinCutOptimistic", "TBNmcopt"),
+    ("leftdeep", "TLNmc"),
+    ("dpccp", "BBNccp"),
+    ("dpsize", "BBNsize"),
+    ("dpsub", "BBNnaive"),
+    ("mincutlazyAP", "TBNmcAP"),
+    ("leftdeep-P", "TLNmcP"),
+]
+
+
+def _configs():
+    """Valid configurations: every Table 1 algorithm, any legal suffixes."""
+    names = st.sampled_from(available_algorithms())
+    memos = st.one_of(
+        st.none(),
+        st.builds(MemoSpec, st.sampled_from(POLICY_NAMES)),
+        st.builds(
+            MemoSpec,
+            st.sampled_from(POLICY_NAMES),
+            st.integers(0, 512),
+            st.integers(0, 512),
+        ),
+    )
+    budgets = st.one_of(
+        st.none(),
+        st.builds(Budget, st.integers(0, 10**6), st.none()),
+        st.builds(
+            Budget,
+            st.none() | st.integers(0, 10**6),
+            st.floats(0.001, 1e6, allow_nan=False, allow_infinity=False),
+        ),
+    )
+
+    def build(name, workers, memo, budget, top_k):
+        spec = parse_name(name)
+        if not spec.top_down:
+            return OptimizerConfig(spec)
+        if top_k is not None:
+            workers = budget = None
+        return OptimizerConfig(spec, workers, memo, budget, top_k)
+
+    return st.builds(
+        build,
+        names,
+        st.none() | st.integers(1, 64),
+        memos,
+        budgets,
+        st.none() | st.integers(1, 16),
+    )
+
+
+class TestConfigRoundTrip:
+    """``OptimizerConfig.parse`` and ``str`` are inverse on the grammar."""
+
+    @pytest.mark.parametrize("name, canonical", CANONICAL_NAMES)
+    def test_canonical(self, name, canonical):
+        assert str(OptimizerConfig.parse(name)) == canonical
+
+    @given(config=_configs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_inverts_str_in_any_suffix_order(self, config, data):
+        text = str(config)
+        assert OptimizerConfig.parse(text) == config
+        base = config.spec.name
+        suffixes = re.findall(r"[@%?^][^@%?^]*", text[len(base):])
+        shuffled = data.draw(st.permutations(suffixes))
+        assert OptimizerConfig.parse(base + "".join(shuffled)) == config
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "TBNmc@zero",     # non-integer worker count
+            "TBNmc@0",        # no workers
+            "TBNmc@2@3",      # duplicate suffix
+            "TBNmc^0",        # empty ranking
+            "TBNmc?",         # empty budget
+            "TBNmc?1n^3",     # a budget truncates, ranking is exhaustive
+            "TBNmc@2^3",      # ranking is serial-only
+            "BBNccp?10n",     # budgets need top-down search
+            "BBNccp^2",       # so does ranking
+            "BBNccp%lru:8",   # and memo policies
+            "dpccp@2",        # and workers
+        ],
+    )
+    def test_rejections(self, bad):
+        with pytest.raises(ValueError):
+            OptimizerConfig.parse(bad)
+
+    def test_constructor_checks_the_same_rules(self):
+        spec = parse_name("TBNmc")
+        with pytest.raises(ValueError, match="exhaustively"):
+            OptimizerConfig(spec, budget=Budget.nodes(1), top_k=3)
+        with pytest.raises(ValueError, match="serial-only"):
+            OptimizerConfig(spec, workers=2, top_k=3)
+        with pytest.raises(ValueError, match="top-down"):
+            OptimizerConfig(parse_name("BBNccp"), memo=MemoSpec("lru"))
+
+    def test_make_optimizer_takes_a_config(self):
+        query = weighted_query(chain(5), 3)
+        config = OptimizerConfig.parse("TBNmc%cost:4^2")
+        optimizer = make_optimizer(config, query)
+        assert optimizer.memo.capacity == 4
+        assert optimizer.default_topk == 2
+        assert optimizer.optimize().cost == optimize("TBNmc", query).cost

@@ -123,15 +123,32 @@ class TestProtocol:
 
     def test_serial_base_strips_execution_suffixes(self):
         request = build_request({"algorithm": "TBNmc@4", "query": DSL})
-        assert request.resolved == "TBNmc@4"
-        assert request.serial_base == "TBNmc"
+        assert str(request.config) == "TBNmc@4"
+        assert request.config.spec.name == "TBNmc"
         bounded = build_request({"algorithm": "TBNmc%lru:64", "query": DSL})
-        assert bounded.serial_base == "TBNmc"
+        assert bounded.config.spec.name == "TBNmc"
         assert cache_key(request) == cache_key(bounded)
 
     def test_alias_resolves(self):
         request = build_request({"algorithm": "mincutlazy", "query": DSL})
-        assert request.resolved == "TBNmc"
+        assert str(request.config) == "TBNmc"
+
+    def test_limits_split_the_cache_key(self):
+        keys = {
+            cache_key(build_request({"algorithm": name, "query": DSL}))
+            for name in ("TBNmc", "TBNmc?5n", "TBNmc?6n", "TBNmc^3", "TBNmc^2")
+        }
+        assert len(keys) == 5
+
+    @pytest.mark.parametrize(
+        "field, value, suffix",
+        [("budget_ms", 50, "?<ms>ms"), ("budget_nodes", 5, "?<nodes>n"),
+         ("top_k", 3, "^<k>")],
+    )
+    def test_retired_fields_name_their_suffix(self, field, value, suffix):
+        with pytest.raises(RequestError) as info:
+            build_request({"query": DSL, field: value})
+        assert field in info.value.message and suffix in info.value.message
 
     def test_exactly_one_query_source(self):
         with pytest.raises(RequestError):
@@ -212,14 +229,12 @@ class TestRequestQueue:
             queue.submit(("other", cache_key(td)), td)
             batch = await queue.next_batch(4)
             assert batch is not None
-            assert [item.request.serial_base for item in batch] == [
-                td.serial_base, td.serial_base,
+            assert [item.request.config for item in batch] == [
+                td.config, td.config,
             ]
             rest = await queue.next_batch(4)
             assert rest is not None
-            assert [item.request.serial_base for item in rest] == [
-                bu.serial_base,
-            ]
+            assert [item.request.config for item in rest] == [bu.config]
 
         asyncio.run(run())
 
@@ -296,6 +311,77 @@ class TestPlanServerE2E:
         assert not first["cached"] and second["cached"]
         direct = plan_payload(optimize("dpccp", query))
         assert first["plan"] == direct and second["plan"] == direct
+
+    def test_ranked_request_returns_topk_block(self):
+        query = weighted_query(star(5), 11)
+        payload = {"algorithm": "TBNmc^3", "graph": query_graph_payload(query)}
+
+        response = _serve(lambda server: server.handle_payload({"id": 1, **payload}))
+        assert response["status"] == "ok"
+        assert response["algorithm"] == "TBNmc^3"
+        assert response["topk"]["k"] == 3 and response["topk"]["returned"] == 3
+        costs = [plan["cost"] for plan in response["topk"]["plans"]]
+        assert costs == sorted(costs)
+        assert response["plan"] == plan_payload(optimize("TBNmc", query))
+
+    def test_budgeted_request_returns_anytime_block(self):
+        query = weighted_query(clique(6), 7)
+        payload = {"algorithm": "TBNmcAP?5n", "graph": query_graph_payload(query)}
+
+        response = _serve(lambda server: server.handle_payload({"id": 1, **payload}))
+        assert response["status"] == "ok"
+        anytime = response["anytime"]
+        assert anytime["nodes_spent"] <= 5 and not anytime["completed"]
+        assert "topk" not in response
+
+    def test_budgeted_and_exact_requests_never_share_work(self):
+        query = weighted_query(clique(6), 7)
+        graph = {"graph": query_graph_payload(query)}
+        exact = plan_payload(optimize("TBNmcAP", query))
+
+        async def scenario(server):
+            together = await asyncio.gather(
+                server.handle_payload({"id": 1, "algorithm": "TBNmcAP?5n", **graph}),
+                server.handle_payload({"id": 2, "algorithm": "TBNmcAP", **graph}),
+            )
+            return server, together
+
+        server, (budgeted, unbudgeted) = _serve(scenario)
+        assert not budgeted["deduped"] and not unbudgeted["deduped"]
+        assert server.queue.dedup_saves == 0
+        assert budgeted["anytime"]["exhausted"]
+        assert unbudgeted["plan"] == exact
+
+        async def in_turn(server):
+            first = await server.handle_payload(
+                {"id": 1, "algorithm": "TBNmcAP?5n", **graph}
+            )
+            second = await server.handle_payload(
+                {"id": 2, "algorithm": "TBNmcAP", **graph}
+            )
+            third = await server.handle_payload(
+                {"id": 3, "algorithm": "TBNmcAP?5n", **graph}
+            )
+            return first, second, third
+
+        first, second, third = _serve(in_turn)
+        # An exhausted budgeted search caches no champion: the exact
+        # request after it is a miss and gets the exact plan ...
+        assert first["anytime"]["exhausted"] and not second["cached"]
+        assert second["plan"] == exact
+        # ... whose cached champion then answers the budgeted twin at gap 0.
+        assert third["cached"] and third["anytime"]["gap_bound"] == 0.0
+
+    def test_rejected_configurations_are_error_responses(self):
+        async def scenario(server):
+            return await asyncio.gather(*(
+                server.handle_payload({"id": name, "algorithm": name, "query": DSL})
+                for name in ("TBNmc@2^3", "BBNccp?5n", "TBNmc?1n^3")
+            ))
+
+        for response in _serve(scenario):
+            assert response["status"] == "error"
+            assert "message" in response["error"]
 
     def test_quota_rejection(self):
         async def scenario(server):
