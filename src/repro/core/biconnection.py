@@ -168,6 +168,46 @@ class BiconnectionTree:
         return True
 
 
+def _complete_tree(
+    neighbors: list[int], subset: int, root: int
+) -> BiconnectionTree | None:
+    """The biconnection tree of a complete ``G|_subset``, else ``None``.
+
+    One set node ``subset`` topped by ``root``; ``D_T(v) = {v}`` and
+    ``A_T(v) = {root, v}`` for every other vertex, ``D_T(root) =
+    subset``, and no articulation vertices.  The adjacency check stops
+    at the first vertex not adjacent to all the others.
+    """
+    root_bit = 1 << root
+    if subset & (subset - 1) == 0 or not subset & root_bit:
+        return None
+    remaining = subset
+    while remaining:
+        low_bit = remaining & -remaining
+        remaining ^= low_bit
+        if neighbors[low_bit.bit_length() - 1] & subset | low_bit != subset:
+            return None
+    size = subset.bit_length()
+    parent_component: list[int | None] = [None] * size
+    descendants = [0] * size
+    ancestors = [0] * size
+    remaining = subset
+    while remaining:
+        low_bit = remaining & -remaining
+        remaining ^= low_bit
+        v = low_bit.bit_length() - 1
+        parent_component[v] = 0
+        descendants[v] = low_bit
+        ancestors[v] = root_bit | low_bit
+    parent_component[root] = None
+    descendants[root] = subset
+    ancestors[root] = root_bit
+    return BiconnectionTree(
+        subset, root, [BccNode(subset, root)], parent_component, descendants,
+        ancestors, 0,
+    )
+
+
 def _biconnection_dfs(
     neighbors: list[int], subset: int, root: int
 ) -> BiconnectionTree:
@@ -178,7 +218,14 @@ def _biconnection_dfs(
     equal ``subset`` iff ``subset`` induces a connected subgraph.
     ``D_T`` is accumulated as components close (a component's child
     vertices are complete by then); ``A_T`` takes one top-down pass.
+
+    A complete ``G|_subset`` (two or more vertices) skips the DFS: its
+    tree is one component under ``root`` with every other vertex a leaf,
+    exactly what the DFS would build.
     """
+    complete = _complete_tree(neighbors, subset, root)
+    if complete is not None:
+        return complete
     size = subset.bit_length()
     dfnum = [0] * size
     low = [0] * size

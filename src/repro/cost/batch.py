@@ -106,8 +106,15 @@ class IoKernel(BatchCostKernel):
         return cell
 
     def row(self, left: int, right: int) -> Sequence[float]:
-        left_pages, left_sort = self._operand(left)
-        right_pages, right_sort = self._operand(right)
+        operands = self.operands
+        left_cell = operands.get(left)
+        if left_cell is None:
+            left_cell = self._operand(left)
+        right_cell = operands.get(right)
+        if right_cell is None:
+            right_cell = self._operand(right)
+        left_pages, left_sort = left_cell
+        right_pages, right_sort = right_cell
         # CostModel.join_operator_cost, per method, in JOIN_METHODS order.
         return (
             left_pages + math.ceil(left_pages / self._divisor) * right_pages,

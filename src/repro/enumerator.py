@@ -224,6 +224,11 @@ class TopDownEnumerator:
         self._memo_plan_for = self._memo_hot.plan_for_query
         self._memo_store_plan = self._memo_hot.store_plan
         self._memo_store_lower_bound = self._memo_hot.store_lower_bound
+        # The candidate scan reads a child's plan straight from these hot
+        # cells when that is all `_get_best` would do (see
+        # `MemoTable.direct_cells`); a profiled run keeps every child on
+        # `_get_best`, whose memo calls the profiler bills.
+        self._cells = None if self._profiling else self.memo.direct_cells()
         self.registry = registry
         self._h_partitions: Histogram | None = None
         self._h_join_gap: Histogram | None = None
@@ -568,6 +573,12 @@ class TopDownEnumerator:
         no qualifying plan exists.  With the default infinite budget this
         is Algorithm 1's lookup.
 
+        The candidate scan of :meth:`_calc_best_join` answers the common
+        child lookup itself — a hot plan cell within budget in an exact,
+        unbounded, unprofiled :class:`~repro.memo.MemoTable` — and counts
+        it as the hit branch here does; every other lookup, and every
+        lookup on any other memo, enters here.
+
         A join expression that could fail (finite budget, empty order) is
         expanded with a fresh frontier to record into, or replays the one
         its lower-bound cell holds; the frontier is stored with the
@@ -685,6 +696,14 @@ class TopDownEnumerator:
         With ``replay`` the candidates come from ``frontier`` instead of
         the partition strategy and the cost kernel; otherwise a given
         ``frontier`` (empty) records them, in strategy order.
+
+        A child whose plan sits in the memo's direct cells (see
+        :meth:`~repro.memo.MemoTable.direct_cells`) within the child's
+        budget is read inline and counted as :meth:`_get_best` would
+        count it: the tracer's ``memo_hit`` at once, ``memo_lookups``,
+        ``memo_hits`` and ``memo.stats.hits`` in one addition when the
+        scan ends.  A miss, a lower-bound cell or a plan over budget falls
+        through to :meth:`_get_best`.
         """
         query = self.query
         cost_model = self._cost_hot
@@ -723,6 +742,10 @@ class TopDownEnumerator:
         h_join_gap = self._h_join_gap
         note_join_costed = self._note_join_costed
         stride = self._stride
+        cells = self._cells
+        if cells is not None:
+            cells_get = cells.get
+            memo_stats = self.memo.stats
 
         recording = frontier is not None and not replay
         pairs: Iterable[tuple[int, int]]
@@ -745,86 +768,124 @@ class TopDownEnumerator:
         at = -stride
         bound = 0.0
         cheapest = math.nan
-        for left, right in pairs:
-            partitions_seen += 1
-            metrics.logical_joins_enumerated += 1
-            cap = budget if budget < best_cost else best_cost
-            operator_costs: Sequence[float] | None = None
-            if replay:
-                at += stride
-                bound = costs[at]
-                cheapest = costs[at + 1]
-            else:
-                if predicted:
-                    bound = lower_bound(left, right)
-                if recording:
-                    # Every candidate is priced when recorded, so a
-                    # replay never calls the kernel.
-                    operator_costs = cost_row(left, right)
-                    cheapest = min(operator_costs)
-                    lefts.append(left)
-                    costs.append(bound)
-                    costs.append(cheapest)
-                    costs.extend(operator_costs)
-            if predicted and (bound > cap or (bound == cap and not accumulated)):
-                # Section 4.2: Algorithm 1 prunes a partition whose lower
-                # bound reaches the incumbent; Algorithm 7 explores it
-                # while the bound does not exceed min(B, Cost(BestPlan)).
-                metrics.predicted_prunes += 1
-                if tracing:
-                    self.tracer.predicted_prune(left, right, bound)
-                continue
-            chosen: Sequence[JoinMethod] = methods
-            if not (replay or recording):
-                operator_costs = cost_row(left, right)
-                if order is not None:
-                    keep = [
-                        i
-                        for i, method in enumerate(methods)
-                        if cost_model.join_output_order(
-                            query, method, left, right
-                        )
-                        == order
-                    ]
-                    if not keep:
-                        continue
-                    operator_costs = [operator_costs[i] for i in keep]
-                    chosen = [methods[i] for i in keep]
-                if accumulated:
-                    cheapest = min(operator_costs)
-            remaining = INFINITY
-            if accumulated:
-                # Algorithm 7 budgets each operator separately; because
-                # every method takes unordered inputs and children return
-                # *optimal* plans, fetching the children once under the
-                # cheapest operator's budget is equivalent (a child that
-                # fails the loosest budget fails them all).
-                remaining = cap * BUDGET_HEADROOM - cheapest
-                if remaining < 0:
+        inline_hits = 0
+        try:
+            for left, right in pairs:
+                partitions_seen += 1
+                cap = budget if budget < best_cost else best_cost
+                operator_costs: Sequence[float] | None = None
+                if replay:
+                    at += stride
+                    bound = costs[at]
+                    cheapest = costs[at + 1]
+                else:
+                    if predicted:
+                        bound = lower_bound(left, right)
+                    if recording:
+                        # Every candidate is priced when recorded, so a
+                        # replay never calls the kernel.
+                        operator_costs = cost_row(left, right)
+                        cheapest = min(operator_costs)
+                        lefts.append(left)
+                        costs.append(bound)
+                        costs.append(cheapest)
+                        costs.extend(operator_costs)
+                if predicted and (bound > cap or (bound == cap and not accumulated)):
+                    # Section 4.2: Algorithm 1 prunes a partition whose lower
+                    # bound reaches the incumbent; Algorithm 7 explores it
+                    # while the bound does not exceed min(B, Cost(BestPlan)).
+                    metrics.predicted_prunes += 1
+                    if tracing:
+                        self.tracer.predicted_prune(left, right, bound)
                     continue
-            left_plan = get_best(left, None, remaining)
-            if left_plan is None:
-                continue
-            right_plan = get_best(right, None, remaining - left_plan.cost)
-            if right_plan is None:
-                continue
-            if operator_costs is None:
-                operator_costs = costs[at + 2 : at + stride]
-            child_cost = left_plan.cost + right_plan.cost
-            metrics.join_operators_costed += len(operator_costs)
-            for method_index, operator_cost in enumerate(operator_costs):
-                if h_join_gap is not None:
-                    note_join_costed()
-                # Same addition order as `build_join`, so the test is
-                # exact; the plan node is built only for an improvement.
-                total = child_cost + operator_cost
-                if total < best_cost and total <= budget:
-                    best = join(
-                        chosen[method_index], left_plan, right_plan, operator_cost
-                    )
-                    best_cost = best.cost
-                    if watching:
-                        self._anytime_best = best
+                chosen: Sequence[JoinMethod] = methods
+                if not (replay or recording):
+                    operator_costs = cost_row(left, right)
+                    if order is not None:
+                        keep = [
+                            i
+                            for i, method in enumerate(methods)
+                            if cost_model.join_output_order(
+                                query, method, left, right
+                            )
+                            == order
+                        ]
+                        if not keep:
+                            continue
+                        operator_costs = [operator_costs[i] for i in keep]
+                        chosen = [methods[i] for i in keep]
+                    if accumulated:
+                        cheapest = min(operator_costs)
+                remaining = INFINITY
+                if accumulated:
+                    # Algorithm 7 budgets each operator separately; because
+                    # every method takes unordered inputs and children return
+                    # *optimal* plans, fetching the children once under the
+                    # cheapest operator's budget is equivalent (a child that
+                    # fails the loosest budget fails them all).
+                    remaining = cap * BUDGET_HEADROOM - cheapest
+                    if remaining < 0:
+                        continue
+                # A child whose hot cell holds a plan within its budget is
+                # read inline and counted as `_get_best`'s hit branch
+                # counts it; every other lookup goes through `_get_best`.
+                left_plan = None
+                if cells is not None:
+                    entry = cells_get((left, None))
+                    if entry is not None:
+                        left_plan = entry.plan
+                        if left_plan is not None and left_plan.cost <= remaining:
+                            inline_hits += 1
+                            if tracing:
+                                self.tracer.memo_hit(left, None)
+                        else:
+                            left_plan = None
+                if left_plan is None:
+                    left_plan = get_best(left, None, remaining)
+                    if left_plan is None:
+                        continue
+                remaining -= left_plan.cost
+                right_plan = None
+                if cells is not None:
+                    entry = cells_get((right, None))
+                    if entry is not None:
+                        right_plan = entry.plan
+                        if right_plan is not None and right_plan.cost <= remaining:
+                            inline_hits += 1
+                            if tracing:
+                                self.tracer.memo_hit(right, None)
+                        else:
+                            right_plan = None
+                if right_plan is None:
+                    right_plan = get_best(right, None, remaining)
+                    if right_plan is None:
+                        continue
+                if operator_costs is None:
+                    operator_costs = costs[at + 2 : at + stride]
+                child_cost = left_plan.cost + right_plan.cost
+                metrics.join_operators_costed += len(operator_costs)
+                for method_index, operator_cost in enumerate(operator_costs):
+                    if h_join_gap is not None:
+                        note_join_costed()
+                    # Same addition order as `build_join`, so the test is
+                    # exact; the plan node is built only for an improvement.
+                    total = child_cost + operator_cost
+                    if total < best_cost and total <= budget:
+                        best = join(
+                            chosen[method_index], left_plan, right_plan, operator_cost
+                        )
+                        best_cost = best.cost
+                        if watching:
+                            self._anytime_best = best
+        finally:
+            # The scan's own counts land once, when it ends or an anytime
+            # budget interrupts it: inside this expression's span and
+            # outside every child's, as when they were counted one by one.
+            metrics.logical_joins_enumerated += partitions_seen
+            if inline_hits:
+                metrics.memo_lookups += inline_hits
+                metrics.memo_hits += inline_hits
+                memo_stats.hits += inline_hits
         if self._h_partitions is not None:
             self._h_partitions.observe(partitions_seen)
         return best

@@ -385,6 +385,21 @@ class MemoTable:
         self.stats.misses += 1
         return None
 
+    def direct_cells(self) -> "dict[Hashable, MemoEntry] | None":
+        """The hot cells, for callers that read a hit without :meth:`get`.
+
+        Returned only when a hot hit through :meth:`get` is a plain dict
+        read plus ``stats.hits += 1``: the table is exactly
+        ``MemoTable`` (subclasses may rekey, relabel or instrument
+        lookups) and has no capacity (no recency refresh on a hit).  A
+        reader must still count the hit in ``stats.hits`` and send every
+        other case — a miss, a lower-bound cell — through :meth:`get`,
+        which also consults the cold and shared tiers.  ``None`` otherwise.
+        """
+        if type(self) is MemoTable and self.capacity is None:
+            return self._cells
+        return None
+
     def peek(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
         """Hot-tier-only lookup: no promotion, no recency, no stats."""
         return self._cells.get(self.key_for(query, subset, order))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import biconnection
 from repro.core.biconnection import (
+    BccNode,
     articulation_vertices,
     biconnected_components,
     build_bcc_tree,
@@ -211,3 +213,98 @@ class TestUsability:
         # Remove the subtree rooted at vertex 1 (vertices 1, 3, 4).
         survivors = g.all_vertices & ~mask_of([1, 3, 4])
         assert tree.is_usable_for(survivors)
+
+
+@st.composite
+def complete_subsets(draw, minus_one_edge: bool = False):
+    """A random graph on 3..10 vertices whose induced subgraph on
+    ``subset`` is complete (or complete minus one of its edges), plus a
+    root in ``subset``."""
+    n = draw(st.integers(3, 10))
+    members = draw(
+        st.lists(
+            st.integers(0, n - 1),
+            min_size=3 if minus_one_edge else 2,
+            max_size=n,
+            unique=True,
+        )
+    )
+    inside = {(u, v) for u in members for v in members if u < v}
+    if minus_one_edge:
+        inside.discard(draw(st.sampled_from(sorted(inside))))
+    outside = {
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not (u in members and v in members)
+    }
+    extra = draw(st.sets(st.sampled_from(sorted(outside)))) if outside else set()
+    graph = JoinGraph(n, sorted(inside | extra))
+    return graph, mask_of(members), draw(st.sampled_from(members))
+
+
+def _dfs_tree(graph: JoinGraph, subset: int, root: int):
+    """The tree the DFS builds, with the complete-subgraph shortcut off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biconnection, "_complete_tree", lambda *args: None)
+        return build_bcc_tree(graph, subset, root)
+
+
+def _slots(tree) -> dict:
+    return {name: getattr(tree, name) for name in tree.__slots__}
+
+
+class TestCompleteSubgraphTree:
+    """A complete ``G|subset`` gets its tree without a DFS."""
+
+    @given(complete_subsets())
+    @settings(max_examples=80)
+    def test_complete_matches_networkx(self, case):
+        graph, subset, root = case
+        assert biconnection._complete_tree(graph.neighbors, subset, root)
+        induced = to_networkx(graph).subgraph(set_of(subset))
+        tree = build_bcc_tree(graph, subset, root)
+        assert tree.articulation == mask_of(nx.articulation_points(induced))
+        assert {frozenset(set_of(c.members)) for c in tree.components} == {
+            frozenset(c) for c in nx.biconnected_components(induced)
+        }
+        assert tree.components == [BccNode(subset, root)]
+        assert tree.desc(root) == subset
+        for v in iter_bits(subset & ~bit(root)):
+            assert tree.desc(v) == bit(v)
+            assert tree.anc(v) == bit(root) | bit(v)
+
+    @given(complete_subsets(minus_one_edge=True))
+    @settings(max_examples=80)
+    def test_missing_edge_takes_dfs(self, case):
+        graph, subset, root = case
+        assert biconnection._complete_tree(graph.neighbors, subset, root) is None
+        induced = to_networkx(graph).subgraph(set_of(subset))
+        assert articulation_vertices(graph, subset) == mask_of(
+            nx.articulation_points(induced)
+        )
+        ours = biconnected_components(graph, subset)
+        assert {frozenset(set_of(m)) for m in ours} == {
+            frozenset(c) for c in nx.biconnected_components(induced)
+        }
+
+    @given(complete_subsets())
+    @settings(max_examples=40, deadline=None)
+    def test_same_tree_and_usability_as_dfs(self, case):
+        graph, subset, root = case
+        dfs = _dfs_tree(graph, subset, root)
+        tree = build_bcc_tree(graph, subset, root)
+        assert _slots(tree) == _slots(dfs)
+        # Every subset of a complete graph is connected.
+        for rest in range(subset + 1):
+            if rest & ~subset:
+                continue
+            for tweak in (False, True):
+                assert tree.is_usable_for(rest, size3_tweak=tweak) == (
+                    dfs.is_usable_for(rest, size3_tweak=tweak)
+                )
+
+    def test_single_vertex_takes_dfs(self):
+        g = clique(4)
+        assert biconnection._complete_tree(g.neighbors, bit(2), 2) is None
+        assert build_bcc_tree(g, bit(2), 2).components == []

@@ -6,6 +6,8 @@ import pytest
 from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ExperimentResult, graph_maker
 from repro.experiments.memory import THRESHOLDS, required_cells
+from repro.registry import make_optimizer
+from repro.workloads import star, weighted_query
 
 
 class TestCommon:
@@ -127,6 +129,30 @@ class TestBoundingShapes:
     def test_accumulated_cpu_blowup_trend(self, fig16):
         rels = [row["A_rel"] for row in fig16.rows]
         assert rels[-1] > rels[0]  # worsens with size (Section 4.3.2)
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_accumulated_work_blowup_trend(self, seed):
+        """Deterministic companion of the wall-time trend above: on stars,
+        Algorithm 7's memo lookups and re-expansions relative to
+        exhaustive TBNmc grow from n = 6 to n = 12 (Section 4.3.2,
+        Fig. 16: accumulated-cost bounding undercuts memoization)."""
+        lookup_ratio = []
+        reexpansion_share = []
+        for n in (6, 12):
+            query = weighted_query(star(n), seed)
+            metrics = {}
+            for name in ("TBNmc", "TBNmcA"):
+                optimizer = make_optimizer(name, query)
+                optimizer.optimize()
+                metrics[name] = optimizer.metrics
+            exhaustive, bounded = metrics["TBNmc"], metrics["TBNmcA"]
+            assert exhaustive.expressions_reexpanded == 0
+            lookup_ratio.append(bounded.memo_lookups / exhaustive.memo_lookups)
+            reexpansion_share.append(
+                bounded.expressions_reexpanded / exhaustive.expressions_expanded
+            )
+        assert lookup_ratio[0] < 1.0 < lookup_ratio[1]
+        assert reexpansion_share[1] > reexpansion_share[0]
 
     def test_reexpansions_grow(self, fig16):
         reexp = [row["A_reexpansions"] for row in fig16.rows]
