@@ -29,8 +29,9 @@ class Metrics:
     connectivity_tests: int = 0
     #: Connectivity tests that failed (wasted work).
     failed_connectivity_tests: int = 0
-    #: Biconnection trees built (MinCutEager/MinCutLazy); none while a
-    #: candidate frontier is replayed.
+    #: Biconnection trees built (MinCutEager/MinCutLazy), plus one per
+    #: MinCutLeftDeep articulation scan whether or not that scan runs the
+    #: DFS; none while a candidate frontier is replayed.
     bcc_trees_built: int = 0
     #: Usability tests run (MinCutLazy); none while a candidate frontier
     #: is replayed.

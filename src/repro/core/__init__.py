@@ -24,7 +24,6 @@ from repro.core.biconnection import (
     articulation_vertices,
     biconnected_components,
     build_bcc_tree,
-    is_usable,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "articulation_vertices",
     "biconnected_components",
     "build_bcc_tree",
-    "is_usable",
 ]

@@ -4,7 +4,9 @@ Implements the graph-theoretic substrate of Section 3.3 of the paper:
 
 * articulation vertices and biconnected components via the classic
   Hopcroft/Tarjan depth-first search (Aho, Hopcroft & Ullman), written
-  iteratively so deep graphs never hit Python's recursion limit;
+  iteratively so deep graphs never hit Python's recursion limit (an
+  acyclic or complete subgraph's articulation vertices are read from its
+  induced degrees instead);
 * the *biconnection tree* of Algorithm 3 (``BuildBccTree``): a tree whose
   vertex nodes are the vertices of ``G`` and whose set nodes are the
   biconnected components, rooted at a distinguished vertex ``t``;
@@ -22,7 +24,6 @@ with the current vertex set when reusing a stale tree (Section 3.3.1).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import NamedTuple
 
 from repro.core.bitset import bit, iter_bits, popcount
@@ -34,7 +35,6 @@ __all__ = [
     "articulation_vertices",
     "biconnected_components",
     "build_bcc_tree",
-    "is_usable",
 ]
 
 
@@ -327,11 +327,34 @@ def biconnected_components(
 
 
 def articulation_vertices(graph: JoinGraph, subset: int | None = None) -> int:
-    """Return the articulation vertices of connected ``G|_subset`` as a mask."""
+    """Return the articulation vertices of ``G|_subset`` as a mask.
+
+    Precondition: ``G|_subset`` is connected (every CP-free caller's
+    contract).  One pass sums the induced degrees.  With ``|E| = |S| - 1``
+    the subgraph is a tree, whose articulation vertices are exactly those
+    of induced degree >= 2; with ``|E| = |S|(|S| - 1)/2`` it is complete
+    and has none.  Any other subgraph takes the Hopcroft–Tarjan DFS.
+    """
     if subset is None:
         subset = graph.all_vertices
+    neighbors = graph.neighbors
+    degree_sum = 0
+    inner = 0
+    remaining = subset
+    while remaining:
+        low_bit = remaining & -remaining
+        remaining ^= low_bit
+        degree = (neighbors[low_bit.bit_length() - 1] & subset).bit_count()
+        degree_sum += degree
+        if degree >= 2:
+            inner |= low_bit
+    size = subset.bit_count()
+    if degree_sum == 2 * (size - 1):
+        return inner
+    if degree_sum == size * (size - 1):
+        return 0
     root = (subset & -subset).bit_length() - 1
-    return _biconnection_dfs(graph.neighbors, subset, root).articulation
+    return _biconnection_dfs(neighbors, subset, root).articulation
 
 
 def build_bcc_tree(graph: JoinGraph, subset: int, t: int) -> BiconnectionTree:
@@ -349,15 +372,3 @@ def build_bcc_tree(graph: JoinGraph, subset: int, t: int) -> BiconnectionTree:
         raise ValueError("subset does not induce a connected subgraph")
     return tree
 
-
-def sum_of_masks(masks: Iterable[int]) -> int:
-    """Union an iterable of masks (helper shared with tests)."""
-    total = 0
-    for m in masks:
-        total |= m
-    return total
-
-
-def is_usable(tree: BiconnectionTree, subset: int, *, size3_tweak: bool = False) -> bool:
-    """Module-level alias of :meth:`BiconnectionTree.is_usable_for`."""
-    return tree.is_usable_for(subset, size3_tweak=size3_tweak)

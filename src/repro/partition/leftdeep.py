@@ -6,6 +6,9 @@ the set of articulation vertices can be identified (and hence avoided) in
 Theta(|E|) time, eliminating the need for a connectivity test.  The
 resulting search algorithm is optimal for left-deep trees without cartesian
 products."
+
+``articulation_vertices`` answers an acyclic or complete subset from its
+induced degrees; the paper's DFS stays as the fallback for every other one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Tests for biconnected components, articulation vertices, and the
 biconnection tree — including the paper's Figure 1 worked example."""
 
+from unittest import mock
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -78,18 +80,61 @@ class TestArticulation:
             g, g.all_vertices
         )
 
-    @given(st.integers(0, 5000))
+    @given(st.sampled_from([0.0, 0.4]), st.integers(0, 5000))
     @settings(max_examples=40)
-    def test_subset_matches_brute_force(self, seed):
-        """The oracle agrees on induced (connected) proper subsets too."""
+    def test_subset_matches_brute_force(self, cyclicity, seed):
+        """The oracle agrees on induced (connected) subsets too, random
+        trees and 1- and 2-vertex subsets included."""
         from repro.conformance import brute_force_articulation
         from repro.conformance.oracles import connected_subsets
 
-        g = random_connected_graph(7, 0.4, seed)
-        for subset in connected_subsets(g, min_size=3):
+        g = random_connected_graph(7, cyclicity, seed)
+        for subset in connected_subsets(g, min_size=1):
             assert articulation_vertices(g, subset) == brute_force_articulation(
                 g, subset
             )
+
+    @given(
+        st.one_of(
+            st.builds(
+                random_connected_graph,
+                st.integers(1, 8),
+                st.sampled_from([0.0, 0.4, 0.7]),
+                st.integers(0, 5000),
+            ),
+            st.builds(clique, st.integers(1, 6)),
+        )
+    )
+    @settings(max_examples=60)
+    def test_acyclic_or_complete_skips_dfs(self, g):
+        """A tree or complete ``G|subset`` is answered from induced degrees."""
+        from repro.conformance import brute_force_articulation
+        from repro.conformance.oracles import connected_subsets
+
+        no_dfs = mock.patch.object(
+            biconnection, "_biconnection_dfs", side_effect=AssertionError("DFS")
+        )
+        with no_dfs:
+            for subset in connected_subsets(g):
+                size = subset.bit_count()
+                edges = g.edge_count_within(subset)
+                if edges not in (size - 1, size * (size - 1) // 2):
+                    continue
+                assert articulation_vertices(g, subset) == brute_force_articulation(
+                    g, subset
+                )
+
+    @pytest.mark.parametrize(
+        "graph", [cycle(6), wheel(6), FIGURE1], ids=["cycle", "wheel", "figure1"]
+    )
+    def test_cyclic_takes_dfs(self, graph):
+        with mock.patch.object(
+            biconnection, "_biconnection_dfs", wraps=biconnection._biconnection_dfs
+        ) as dfs:
+            assert articulation_vertices(graph) == mask_of(
+                nx.articulation_points(to_networkx(graph))
+            )
+        assert dfs.call_count == 1
 
 
 class TestBiconnectedComponents:
@@ -280,9 +325,14 @@ class TestCompleteSubgraphTree:
         graph, subset, root = case
         assert biconnection._complete_tree(graph.neighbors, subset, root) is None
         induced = to_networkx(graph).subgraph(set_of(subset))
-        assert articulation_vertices(graph, subset) == mask_of(
-            nx.articulation_points(induced)
-        )
+        with mock.patch.object(
+            biconnection, "_biconnection_dfs", wraps=biconnection._biconnection_dfs
+        ) as dfs:
+            assert articulation_vertices(graph, subset) == mask_of(
+                nx.articulation_points(induced)
+            )
+        # A triangle minus an edge is a path: induced degrees answer it.
+        assert dfs.call_count == (subset.bit_count() >= 4)
         ours = biconnected_components(graph, subset)
         assert {frozenset(set_of(m)) for m in ours} == {
             frozenset(c) for c in nx.biconnected_components(induced)
