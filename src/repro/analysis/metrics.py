@@ -42,7 +42,9 @@ class Metrics:
     #: Memo lookups and hits.
     memo_lookups: int = 0
     memo_hits: int = 0
-    #: Memo lookups answered by a stored lower bound (Algorithm 7 line 4).
+    #: Memo lookups that prove no plan fits the budget (Algorithm 7
+    #: line 4): a stored plan dearer than the budget, or a stored lower
+    #: bound at or above it.
     memo_bound_hits: int = 0
     #: CalcBestJoin invocations (expression expansions).
     expressions_expanded: int = 0

@@ -12,7 +12,6 @@ import math
 from collections.abc import Sequence
 
 from repro.catalog.stats import Catalog, JoinPredicate, Relation
-from repro.core.bitset import iter_bits
 from repro.core.joingraph import JoinGraph
 
 __all__ = ["Query"]
@@ -39,6 +38,7 @@ class Query:
         "_edge_items",
         "_log_cards",
         "_log_edges",
+        "_packing",
     )
 
     def __init__(
@@ -74,9 +74,13 @@ class Query:
             math.log10(r.cardinality) if r.cardinality > 0 else None
             for r in self.relations
         )
+        # (endpoint mask, log selectivity) in sorted edge order, so the
+        # sum below is taken in one fixed order and is bit-reproducible.
         self._log_edges = tuple(
-            (u, v, math.log10(s)) for (u, v), s in sorted(self.selectivity.items())
+            (1 << u | 1 << v, math.log10(s))
+            for (u, v), s in sorted(self.selectivity.items())
         )
+        self._packing = tuple(r.tuples_per_page for r in self.relations)
 
     # -- construction ----------------------------------------------------------
 
@@ -132,15 +136,19 @@ class Query:
         cached = self._cardinality_cache.get(subset)
         if cached is not None:
             return cached
+        log_cards = self._log_cards
         log_card = 0.0
-        for v in iter_bits(subset):
-            log_v = self._log_cards[v]
+        rest = subset
+        while rest:  # vertices in bit order
+            low = rest & -rest
+            log_v = log_cards[low.bit_length() - 1]
             if log_v is None:  # an empty relation empties every join
                 self._cardinality_cache[subset] = 0.0
                 return 0.0
             log_card += log_v
-        for u, v, log_sel in self._log_edges:
-            if subset >> u & 1 and subset >> v & 1:
+            rest ^= low
+        for mask, log_sel in self._log_edges:
+            if subset & mask == mask:
                 log_card += log_sel
         # Clamp instead of overflowing: estimates beyond 1e300 only occur
         # for absurd intermediate cartesian products, whose relative
@@ -173,13 +181,21 @@ class Query:
         results assume the default packing of their widest constituent.
         """
         card = self.cardinality(subset)
-        if subset != 0 and subset & (subset - 1) == 0:
-            v = subset.bit_length() - 1
-            return max(1.0, card / self.relations[v].tuples_per_page)
-        tuples_per_page = min(
-            (self.relations[v].tuples_per_page for v in iter_bits(subset)),
-            default=1,
-        )
+        # The widest constituent's packing (fewest tuples per page), taken
+        # as `min` takes it: the first of equal values, in bit order, wins.
+        # An empty subset packs 1.
+        packing = self._packing
+        tuples_per_page = 1
+        if subset:
+            low = subset & -subset
+            tuples_per_page = packing[low.bit_length() - 1]
+            rest = subset ^ low
+            while rest:
+                low = rest & -rest
+                candidate = packing[low.bit_length() - 1]
+                if candidate < tuples_per_page:
+                    tuples_per_page = candidate
+                rest ^= low
         return max(1.0, card / tuples_per_page)
 
     def relation_name(self, v: int) -> str:

@@ -123,13 +123,21 @@ class IoKernel(BatchCostKernel):
         )
 
     def bound(self, left: int, right: int) -> float:
-        # CostModel.lower_bound over the cached pages: Query.pages is not
-        # memoized, and the bound is taken for every bounded candidate.
+        # CostModel.lower_bound over the cached pages, read inline as
+        # `row` reads them: the bound is taken for every bounded
+        # candidate, so only a miss pays the `_operand` call.
+        operands = self.operands
         bound = 0.0
         if left & (left - 1):
-            bound += self._operand(left)[0]
+            cell = operands.get(left)
+            if cell is None:
+                cell = self._operand(left)
+            bound += cell[0]
         if right & (right - 1):
-            bound += self._operand(right)[0]
+            cell = operands.get(right)
+            if cell is None:
+                cell = self._operand(right)
+            bound += cell[0]
         return bound
 
     def join(

@@ -573,11 +573,13 @@ class TopDownEnumerator:
         no qualifying plan exists.  With the default infinite budget this
         is Algorithm 1's lookup.
 
-        The candidate scan of :meth:`_calc_best_join` answers the common
-        child lookup itself — a hot plan cell within budget in an exact,
-        unbounded, unprofiled :class:`~repro.memo.MemoTable` — and counts
-        it as the hit branch here does; every other lookup, and every
-        lookup on any other memo, enters here.
+        The candidate scan of :meth:`_calc_best_join` answers a child
+        lookup itself when a hot cell of an exact, unbounded, unprofiled
+        :class:`~repro.memo.MemoTable` settles it — a plan within budget,
+        or a plan or lower bound proving none fits — and counts it as the
+        hit or bound-hit branch here does.  A miss, a lower bound below
+        the budget (a re-expansion), and every lookup on any other memo
+        enter here.
 
         A join expression that could fail (finite budget, empty order) is
         expanded with a fresh frontier to record into, or replays the one
@@ -697,13 +699,16 @@ class TopDownEnumerator:
         the partition strategy and the cost kernel; otherwise a given
         ``frontier`` (empty) records them, in strategy order.
 
-        A child whose plan sits in the memo's direct cells (see
-        :meth:`~repro.memo.MemoTable.direct_cells`) within the child's
-        budget is read inline and counted as :meth:`_get_best` would
-        count it: the tracer's ``memo_hit`` at once, ``memo_lookups``,
-        ``memo_hits`` and ``memo.stats.hits`` in one addition when the
-        scan ends.  A miss, a lower-bound cell or a plan over budget falls
-        through to :meth:`_get_best`.
+        A child whose cell in the memo's direct cells (see
+        :meth:`~repro.memo.MemoTable.direct_cells`) settles its lookup is
+        read inline and counted as :meth:`_get_best` would count it.  A
+        plan within the child's budget is a hit; a plan dearer than the
+        budget, or a plan-less lower bound at or above it, is a bound hit
+        and drops the candidate.  The tracer's ``memo_hit`` or
+        ``memo_bound_hit`` fires at once; ``memo_lookups``, ``memo_hits``,
+        ``memo_bound_hits`` and ``memo.stats.hits`` take the scan's inline
+        reads in one addition when the scan ends.  A miss and a lower
+        bound below the budget fall through to :meth:`_get_best`.
         """
         query = self.query
         cost_model = self._cost_hot
@@ -769,6 +774,7 @@ class TopDownEnumerator:
         bound = 0.0
         cheapest = math.nan
         inline_hits = 0
+        inline_bound_hits = 0
         try:
             for left, right in pairs:
                 partitions_seen += 1
@@ -826,20 +832,34 @@ class TopDownEnumerator:
                     remaining = cap * BUDGET_HEADROOM - cheapest
                     if remaining < 0:
                         continue
-                # A child whose hot cell holds a plan within its budget is
-                # read inline and counted as `_get_best`'s hit branch
-                # counts it; every other lookup goes through `_get_best`.
+                # A child whose hot cell answers the lookup — a plan within
+                # its budget, or a plan or lower bound proving none fits —
+                # is read inline and counted as `_get_best`'s hit and bound
+                # hit branches count it; a miss and a lower bound below the
+                # budget (a re-expansion) go through `_get_best`.
                 left_plan = None
                 if cells is not None:
                     entry = cells_get((left, None))
                     if entry is not None:
                         left_plan = entry.plan
-                        if left_plan is not None and left_plan.cost <= remaining:
-                            inline_hits += 1
+                        if left_plan is not None:
+                            if left_plan.cost <= remaining:
+                                inline_hits += 1
+                                if tracing:
+                                    self.tracer.memo_hit(left, None)
+                            else:
+                                inline_bound_hits += 1
+                                if tracing:
+                                    self.tracer.memo_bound_hit(left, None)
+                                continue
+                        elif (
+                            entry.lower_bound is not None
+                            and entry.lower_bound >= remaining
+                        ):
+                            inline_bound_hits += 1
                             if tracing:
-                                self.tracer.memo_hit(left, None)
-                        else:
-                            left_plan = None
+                                self.tracer.memo_bound_hit(left, None)
+                            continue
                 if left_plan is None:
                     left_plan = get_best(left, None, remaining)
                     if left_plan is None:
@@ -850,12 +870,24 @@ class TopDownEnumerator:
                     entry = cells_get((right, None))
                     if entry is not None:
                         right_plan = entry.plan
-                        if right_plan is not None and right_plan.cost <= remaining:
-                            inline_hits += 1
+                        if right_plan is not None:
+                            if right_plan.cost <= remaining:
+                                inline_hits += 1
+                                if tracing:
+                                    self.tracer.memo_hit(right, None)
+                            else:
+                                inline_bound_hits += 1
+                                if tracing:
+                                    self.tracer.memo_bound_hit(right, None)
+                                continue
+                        elif (
+                            entry.lower_bound is not None
+                            and entry.lower_bound >= remaining
+                        ):
+                            inline_bound_hits += 1
                             if tracing:
-                                self.tracer.memo_hit(right, None)
-                        else:
-                            right_plan = None
+                                self.tracer.memo_bound_hit(right, None)
+                            continue
                 if right_plan is None:
                     right_plan = get_best(right, None, remaining)
                     if right_plan is None:
@@ -882,10 +914,11 @@ class TopDownEnumerator:
             # budget interrupts it: inside this expression's span and
             # outside every child's, as when they were counted one by one.
             metrics.logical_joins_enumerated += partitions_seen
-            if inline_hits:
-                metrics.memo_lookups += inline_hits
+            if inline_hits or inline_bound_hits:
+                metrics.memo_lookups += inline_hits + inline_bound_hits
                 metrics.memo_hits += inline_hits
-                memo_stats.hits += inline_hits
+                metrics.memo_bound_hits += inline_bound_hits
+                memo_stats.hits += inline_hits + inline_bound_hits
         if self._h_partitions is not None:
             self._h_partitions.observe(partitions_seen)
         return best

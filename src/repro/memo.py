@@ -392,9 +392,11 @@ class MemoTable:
         read plus ``stats.hits += 1``: the table is exactly
         ``MemoTable`` (subclasses may rekey, relabel or instrument
         lookups) and has no capacity (no recency refresh on a hit).  A
-        reader must still count the hit in ``stats.hits`` and send every
-        other case — a miss, a lower-bound cell — through :meth:`get`,
-        which also consults the cold and shared tiers.  ``None`` otherwise.
+        reader may answer a plan hit, or a bound hit (a plan dearer than
+        its budget, a lower bound at or above it), from the cells, and
+        must count it in ``stats.hits``; only a miss and a lower bound
+        below the budget must go through :meth:`get`, which also consults
+        the cold and shared tiers.  ``None`` otherwise.
         """
         if type(self) is MemoTable and self.capacity is None:
             return self._cells

@@ -51,7 +51,9 @@ class Span:
     budget: Optional[float] = None
     #: Child lookups answered by a stored plan while this span was current.
     memo_hits: int = 0
-    #: Child lookups answered by a stored lower bound (Algorithm 7 line 4).
+    #: Child lookups proving no plan fits the budget (Algorithm 7 line
+    #: 4): a stored plan dearer than it, or a stored lower bound at or
+    #: above it.
     memo_bound_hits: int = 0
     #: Partitions skipped by the predicted-cost test while current.
     predicted_prunes: int = 0
@@ -127,7 +129,8 @@ class Tracer:
         """A child lookup was answered by a stored plan."""
 
     def memo_bound_hit(self, subset: int, order: int | None) -> None:
-        """A child lookup was answered by a stored lower bound."""
+        """A child lookup proved no plan fits its budget: a stored plan
+        dearer than the budget, or a stored lower bound at or above it."""
 
     def predicted_prune(self, left: int, right: int, bound: float) -> None:
         """A partition was skipped by the predicted-cost test."""
@@ -167,7 +170,7 @@ class RecordingTracer(Tracer):
         #: the per-expression attribution that span annotations (which
         #: live on the *requesting* span) cannot recover.
         self.memo_hit_subsets: dict[tuple[int, Optional[int]], int] = {}
-        #: Same, for lookups answered by a stored lower bound.
+        #: Same, for bound hits (see :meth:`Tracer.memo_bound_hit`).
         self.bound_hit_subsets: dict[tuple[int, Optional[int]], int] = {}
         self._stack: list[Span] = []
         self._snapshots: list[dict[str, int]] = []

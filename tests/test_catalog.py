@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, JoinPredicate, Query, Relation
-from repro.core.bitset import iter_subsets, mask_of
+from repro.core.bitset import iter_bits, iter_subsets, mask_of
 from repro.core.joingraph import JoinGraph
 from repro.workloads import chain, random_connected_graph, star
 from repro.workloads.weights import weighted_query
@@ -171,3 +171,80 @@ class TestCardinalityEstimation:
         assert q.pages(0b01) == 10.0
         # Intermediate result: 1000*1000*0.01 = 10000 tuples.
         assert q.pages(0b11) == pytest.approx(100.0)
+
+
+def _reference_cardinality(query: Query, subset: int) -> float:
+    """The estimator's summation, spelled out: base-10 logs of the
+    vertices in bit order, then of every internal edge in sorted order."""
+    log_card = 0.0
+    for v in iter_bits(subset):
+        cardinality = query.relations[v].cardinality
+        if cardinality <= 0:
+            return 0.0
+        log_card += math.log10(cardinality)
+    for (u, v), selectivity in sorted(query.selectivity.items()):
+        if subset >> u & 1 and subset >> v & 1:
+            log_card += math.log10(selectivity)
+    if log_card > 300.0:
+        return 1e300
+    if log_card < -300.0:
+        return 1e-300
+    return 10.0**log_card
+
+
+def _reference_pages(query: Query, subset: int) -> float:
+    """Pages from the packing `min` picks over the vertices in bit order."""
+    card = _reference_cardinality(query, subset)
+    if subset != 0 and subset & (subset - 1) == 0:
+        v = subset.bit_length() - 1
+        return max(1.0, card / query.relations[v].tuples_per_page)
+    tuples_per_page = min(
+        (query.relations[v].tuples_per_page for v in iter_bits(subset)),
+        default=1,
+    )
+    return max(1.0, card / tuples_per_page)
+
+
+class _Packing(float):
+    """A tuples-per-page value equal to its float that divides with a
+    per-relation offset, so a page count shows which of several equal
+    packings the estimator took."""
+
+    tag: int
+
+    def __new__(cls, value: float, tag: int) -> "_Packing":
+        packing = super().__new__(cls, value)
+        packing.tag = tag
+        return packing
+
+    def __rtruediv__(self, other: float) -> float:
+        return float(other) / float(self) + self.tag
+
+
+@st.composite
+def _estimator_queries(draw) -> Query:
+    """Arbitrary graphs of up to 10 relations (disconnected ones too),
+    with tied packings and at times one empty relation."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    empty = draw(st.none() | st.integers(0, n - 1))
+    relations = []
+    for v in range(n):
+        cardinality = 0.0 if v == empty else draw(st.floats(1.0, 1e7))
+        tuples_per_page = draw(st.sampled_from([10, 50, 100]))
+        if draw(st.booleans()):
+            tuples_per_page = _Packing(tuples_per_page, v + 1)
+        relations.append(Relation(f"R{v}", cardinality, tuples_per_page))
+    selectivity = {edge: draw(st.floats(1e-6, 1.0)) for edge in edges}
+    return Query(JoinGraph(n, edges), relations, selectivity)
+
+
+@given(_estimator_queries())
+@settings(max_examples=100, deadline=None)
+def test_estimator_matches_reference_exactly(query):
+    """`cardinality` and `pages` equal the reference bit for bit on every
+    subset, the empty and disconnected ones included."""
+    for subset in range(1 << query.n):
+        assert query.cardinality(subset) == _reference_cardinality(query, subset)
+        assert query.pages(subset) == _reference_pages(query, subset)

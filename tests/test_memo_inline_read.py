@@ -1,13 +1,14 @@
 """The candidate scan's inline memo read counts exactly like `_get_best`.
 
-``TopDownEnumerator._calc_best_join`` reads a child's plan straight from
-the hot cells of an exact, unbounded :class:`~repro.memo.MemoTable`
+``TopDownEnumerator._calc_best_join`` reads a child's plan, or the stored
+plan or lower bound that rules the child out, straight from the hot cells
+of an exact, unbounded :class:`~repro.memo.MemoTable`
 (:meth:`~repro.memo.MemoTable.direct_cells`).  A subclass of
 ``MemoTable`` — here one that changes nothing — keeps every child
 lookup on ``_get_best``, so running each configuration on both memos
 compares the inline read against the path it replaces: the plan, every
 ``Metrics`` counter, the memo's ``CacheStats`` and the tracer's per-subset
-hit attribution must be identical.
+hit and bound-hit attribution must be identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.enumerator import TopDownEnumerator
 from repro.memo import GlobalPlanCache, MemoTable
 from repro.obs.tracer import RecordingTracer
 from repro.registry import OptimizerConfig, conformance_matrix, make_optimizer
-from repro.workloads import clique, weighted_query
+from repro.workloads import clique, star, weighted_query
 from tests.test_golden_plans import _queries
 
 
@@ -99,27 +100,51 @@ def test_inline_read_with_shared_tier():
         assert observed[0][1]["stats"]["shared_hits"] > 0, label
 
 
+def _count_get_best(
+    name: str, query: Query, memo: MemoTable
+) -> tuple[int, dict[str, int]]:
+    """`_get_best` entries of one run, and its `Metrics` counters."""
+    optimizer = make_optimizer(name, query, memo=memo)
+    assert isinstance(optimizer, TopDownEnumerator)
+    calls = 0
+    get_best = optimizer._get_best
+
+    def counting(*args: Any, **kwargs: Any) -> Any:
+        nonlocal calls
+        calls += 1
+        return get_best(*args, **kwargs)
+
+    optimizer._get_best = counting  # type: ignore[method-assign]
+    optimizer.optimize()
+    return calls, optimizer.metrics.as_dict()
+
+
 def test_inline_read_skips_get_best():
     """The inline branch is taken: far fewer `_get_best` entries, same
     counters (clique-6 has no lower-bound cells to fall back on)."""
     query = weighted_query(clique(6), 3)
-    entries = []
-    for memo in (MemoTable(), _GetBestMemo()):
-        optimizer = make_optimizer("TBNmc", query, memo=memo)
-        assert isinstance(optimizer, TopDownEnumerator)
-        calls = 0
-        get_best = optimizer._get_best
-
-        def counting(*args: Any, **kwargs: Any) -> Any:
-            nonlocal calls
-            calls += 1
-            return get_best(*args, **kwargs)
-
-        optimizer._get_best = counting  # type: ignore[method-assign]
-        optimizer.optimize()
-        entries.append(calls)
-    inline, reference = entries
+    inline, _ = _count_get_best("TBNmc", query, MemoTable())
+    reference, _ = _count_get_best("TBNmc", query, _GetBestMemo())
     # Each of the 63 connected subsets enters `_get_best` once, to be
     # computed; the reference path also enters it for every hit.
     assert inline == 2**6 - 1
     assert reference > 10 * inline
+
+
+@pytest.mark.parametrize("name", ["TBNmcA", "TBNmcAP"])
+def test_inline_bound_read_skips_get_best(name):
+    """Bound hits — a stored plan over budget, or a lower bound at or
+    above it — are answered inline too; a lower bound below the budget
+    still re-expands through `_get_best`."""
+    query = weighted_query(star(8), 3)
+    inline, metrics = _count_get_best(name, query, MemoTable())
+    reference, reference_metrics = _count_get_best(name, query, _GetBestMemo())
+    assert metrics == reference_metrics
+    # Only misses and re-expansions (and the root lookup) enter
+    # `_get_best`; the reference path enters it for every lookup.
+    assert inline == (
+        metrics["memo_lookups"] - metrics["memo_hits"] - metrics["memo_bound_hits"]
+    )
+    assert reference == metrics["memo_lookups"]
+    assert metrics["memo_bound_hits"] > 0
+    assert metrics["expressions_reexpanded"] > 0
