@@ -61,8 +61,10 @@ from repro.core.joingraph import JoinGraph
 from repro.partition import (
     MinCutEager,
     MinCutLazy,
+    MinCutLazySearch,
     MinCutLeftDeep,
     MinCutOptimistic,
+    MinCutOptimisticSearch,
     NaiveBushyCP,
     NaiveBushyCPFree,
     NaiveLeftDeepCP,
@@ -123,11 +125,14 @@ def _graph_subject(graph: JoinGraph, **extra: Any) -> dict[str, Any]:
 
 
 def _partition_strategies() -> list[PartitionStrategy]:
-    """Every Table 1 partition strategy, including the eager baseline."""
+    """Every Table 1 partition strategy, including the eager baseline and
+    the search's closed-form variants."""
     return [
         MinCutLazy(),
+        MinCutLazySearch(),
         MinCutEager(),
         MinCutOptimistic(),
+        MinCutOptimisticSearch(),
         MinCutLeftDeep(),
         NaiveBushyCPFree(),
         NaiveBushyCP(),
@@ -206,7 +211,13 @@ def check_cut_minimality(
 ) -> list[Violation]:
     """Definition 3.1 minimality of every emitted cut (MinCut* strategies)."""
     if strategies is None:
-        strategies = [MinCutLazy(), MinCutEager(), MinCutOptimistic()]
+        strategies = [
+            MinCutLazy(),
+            MinCutLazySearch(),
+            MinCutEager(),
+            MinCutOptimistic(),
+            MinCutOptimisticSearch(),
+        ]
     violations: list[Violation] = []
     for strategy in strategies:
         label = type(strategy).__name__

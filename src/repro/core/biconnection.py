@@ -35,6 +35,7 @@ __all__ = [
     "articulation_vertices",
     "biconnected_components",
     "build_bcc_tree",
+    "is_complete",
 ]
 
 
@@ -168,6 +169,26 @@ class BiconnectionTree:
         return True
 
 
+def is_complete(neighbors: list[int], subset: int, first: int) -> bool:
+    """Whether ``G|_subset`` is complete, checking vertex ``first`` first.
+
+    ``first`` must lie in ``subset``.  Its adjacency is compared with
+    ``subset`` before any other vertex's, so a caller passing its anchor
+    usually rejects a sparse subset after that one test; the loop then
+    stops at the first vertex not adjacent to all the others.
+    """
+    first_bit = 1 << first
+    if neighbors[first] & subset | first_bit != subset:
+        return False
+    remaining = subset ^ first_bit
+    while remaining:
+        low_bit = remaining & -remaining
+        remaining ^= low_bit
+        if neighbors[low_bit.bit_length() - 1] & subset | low_bit != subset:
+            return False
+    return True
+
+
 def _complete_tree(
     neighbors: list[int], subset: int, root: int
 ) -> BiconnectionTree | None:
@@ -175,18 +196,15 @@ def _complete_tree(
 
     One set node ``subset`` topped by ``root``; ``D_T(v) = {v}`` and
     ``A_T(v) = {root, v}`` for every other vertex, ``D_T(root) =
-    subset``, and no articulation vertices.  The adjacency check stops
-    at the first vertex not adjacent to all the others.
+    subset``, and no articulation vertices.
     """
     root_bit = 1 << root
-    if subset & (subset - 1) == 0 or not subset & root_bit:
+    if (
+        subset & (subset - 1) == 0
+        or not subset & root_bit
+        or not is_complete(neighbors, subset, root)
+    ):
         return None
-    remaining = subset
-    while remaining:
-        low_bit = remaining & -remaining
-        remaining ^= low_bit
-        if neighbors[low_bit.bit_length() - 1] & subset | low_bit != subset:
-            return None
     size = subset.bit_length()
     parent_component: list[int | None] = [None] * size
     descendants = [0] * size

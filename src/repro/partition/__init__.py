@@ -15,8 +15,8 @@ from repro.partition.naive import (
     NaiveLeftDeepCPFree,
 )
 from repro.partition.leftdeep import MinCutLeftDeep
-from repro.partition.mincut_lazy import MinCutEager, MinCutLazy
-from repro.partition.mincut_optimistic import MinCutOptimistic
+from repro.partition.mincut_lazy import MinCutEager, MinCutLazy, MinCutLazySearch
+from repro.partition.mincut_optimistic import MinCutOptimistic, MinCutOptimisticSearch
 from repro.partition.reference import BruteForceMinCuts, minimal_cut_pairs
 
 __all__ = [
@@ -29,7 +29,9 @@ __all__ = [
     "MinCutLeftDeep",
     "MinCutEager",
     "MinCutLazy",
+    "MinCutLazySearch",
     "MinCutOptimistic",
+    "MinCutOptimisticSearch",
     "BruteForceMinCuts",
     "minimal_cut_pairs",
 ]

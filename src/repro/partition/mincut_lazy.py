@@ -15,6 +15,15 @@ The headline optimization is laziness: the parent invocation's tree
 passes, so acyclic graphs build exactly one tree for the whole enumeration.
 ``MinCutEager`` is the same algorithm with reuse disabled (a fresh tree per
 invocation), as used for the baseline in Figures 2–5.
+
+On a complete ``G|S`` no tree is ever reusable (Fig. 4): every invocation
+rebuilds the same one-component tree, whose pivots are all of its
+candidates, so Algorithm 4 emits every non-empty subset of ``S \\ {t}`` in
+lexicographic depth-first order.  :func:`complete_cuts` yields that
+sequence in closed form, with Algorithm 4's counters and tracer events,
+and :class:`MinCutLazySearch` (the search's bushy ``mc`` strategy) takes
+it for complete expressions.  ``MinCutLazy`` stays literal because
+Figures 2–5 measure it.
 """
 
 from __future__ import annotations
@@ -22,12 +31,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.analysis.metrics import Metrics
-from repro.core.biconnection import BiconnectionTree, build_bcc_tree
+from repro.core.biconnection import BiconnectionTree, build_bcc_tree, is_complete
 from repro.core.joingraph import JoinGraph
-from repro.obs.profile import KERNEL_BCC_BUILD
+from repro.obs.profile import KERNEL_BCC_BUILD, KernelProfiler
+from repro.obs.tracer import Tracer
 from repro.partition.base import PartitionStrategy, PlanSpace
 
-__all__ = ["MinCutEager", "MinCutLazy"]
+__all__ = ["MinCutEager", "MinCutLazy", "MinCutLazySearch", "complete_cuts"]
 
 
 class MinCutLazy(PartitionStrategy):
@@ -160,3 +170,91 @@ class MinCutEager(MinCutLazy):
     """
 
     reuse_trees = False
+
+
+class MinCutLazySearch(MinCutLazy):
+    """The search's bushy ``mc`` strategy: Algorithm 4, closed form on cliques.
+
+    A complete ``G|subset`` is answered by :func:`complete_cuts`, which
+    yields the pairs, counters and tracer events ``MinCutLazy`` would;
+    every other subset (and the size-3 tweak, whose reuse test can pass
+    on a complete triangle) takes the literal algorithm.
+    """
+
+    def partitions(
+        self, graph: JoinGraph, subset: int, metrics: Metrics
+    ) -> Iterator[tuple[int, int]]:
+        if subset & (subset - 1) and not self.size3_tweak:
+            if self.anchor is not None and subset >> self.anchor & 1:
+                anchor = self.anchor
+            else:
+                anchor = (subset & -subset).bit_length() - 1
+            if is_complete(graph.neighbors, subset, anchor):
+                return complete_cuts(
+                    subset, anchor, metrics, self.tracer, self.profiler
+                )
+        return super().partitions(graph, subset, metrics)
+
+
+def complete_cuts(
+    subset: int,
+    anchor: int,
+    metrics: Metrics,
+    tracer: Tracer,
+    profiler: KernelProfiler,
+    *,
+    probes: bool = False,
+) -> Iterator[tuple[int, int]]:
+    """Both orientations of every minimal cut of a complete ``G|subset``.
+
+    Every non-empty ``S ⊆ subset \\ {anchor}`` is a minimal cut.  They come
+    in Algorithm 4's order, a lexicographic depth-first walk in which each
+    ``S`` is extended only by vertices above its highest one.  No tree is
+    built, but the counters move as Algorithm 4's do, at the same points
+    of the iteration: each invocation with candidates demands a tree that
+    no usability test can accept (``bcc_trees_built`` and, below the root,
+    ``usability_tests``; ``bcc_tree_built`` events; ``partition.bcc_build``
+    frames when profiling).  With ``probes`` the counters are Algorithm
+    6's instead: one successful connectivity probe per cut.
+    """
+    others = subset & ~(1 << anchor)
+    trees = not probes
+    tracing = tracer.enabled
+    profiling = profiler.enabled
+    if trees:
+        if profiling:
+            profiler.enter(KERNEL_BCC_BUILD)
+            profiler.exit()
+        metrics.bcc_trees_built += 1
+        if tracing:
+            tracer.event("bcc_tree_built", rest=subset, reuse_denied=False)
+    top = others & -others  # the highest vertex of s
+    s = top
+    while True:
+        rest = subset ^ s
+        if probes:
+            metrics.connectivity_tests += 1
+        metrics.partitions_emitted += 2
+        yield (s, rest)
+        yield (rest, s)
+        above = others & -(top << 1)
+        if above:  # descend: s's candidates are the vertices above top
+            if trees:
+                metrics.usability_tests += 1
+                if profiling:
+                    profiler.enter(KERNEL_BCC_BUILD)
+                    profiler.exit()
+                metrics.bcc_trees_built += 1
+                if tracing:
+                    tracer.event("bcc_tree_built", rest=rest, reuse_denied=True)
+            top = above & -above
+            s |= top
+        else:  # s is a leaf: move its highest remaining vertex up one
+            s ^= top
+            if not s:
+                return
+            top = 1 << s.bit_length() - 1
+            above = others & -(top << 1)
+            s ^= top
+            top = above & -above
+            s |= top

@@ -34,10 +34,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.analysis.metrics import Metrics
+from repro.core.biconnection import is_complete
 from repro.core.joingraph import JoinGraph
 from repro.partition.base import PartitionStrategy, PlanSpace
+from repro.partition.mincut_lazy import complete_cuts
 
-__all__ = ["MinCutOptimistic"]
+__all__ = ["MinCutOptimistic", "MinCutOptimisticSearch"]
 
 
 class MinCutOptimistic(PartitionStrategy):
@@ -116,3 +118,29 @@ class MinCutOptimistic(PartitionStrategy):
                     )
             yield from self._mincut(graph, subset, anchor, s_prime, t_prime, metrics)
             t_prime |= low
+
+
+class MinCutOptimisticSearch(MinCutOptimistic):
+    """The search's ``mcopt`` strategy: Algorithm 6, closed form on cliques.
+
+    On a complete ``G|subset`` Algorithm 6 probes once per cut and no
+    probe fails, in the same order as Algorithm 4, so
+    :func:`~repro.partition.mincut_lazy.complete_cuts` answers it with
+    one ``connectivity_tests`` per cut.  Every other subset takes the
+    literal algorithm, which Figures 2–5 measure.
+    """
+
+    def partitions(
+        self, graph: JoinGraph, subset: int, metrics: Metrics
+    ) -> Iterator[tuple[int, int]]:
+        if subset & (subset - 1):
+            if self.anchor is not None and subset >> self.anchor & 1:
+                anchor = self.anchor
+            else:
+                anchor = (subset & -subset).bit_length() - 1
+            if is_complete(graph.neighbors, subset, anchor):
+                return complete_cuts(
+                    subset, anchor, metrics, self.tracer, self.profiler,
+                    probes=True,
+                )
+        return super().partitions(graph, subset, metrics)

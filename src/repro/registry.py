@@ -62,9 +62,9 @@ from repro.obs.profile import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partition import (
-    MinCutLazy,
+    MinCutLazySearch,
     MinCutLeftDeep,
-    MinCutOptimistic,
+    MinCutOptimisticSearch,
     NaiveBushyCP,
     NaiveBushyCPFree,
     NaiveLeftDeepCP,
@@ -406,11 +406,11 @@ def conformance_matrix(
 
 def _partition_for(spec: AlgorithmSpec):
     if spec.style == "mcopt":
-        return MinCutOptimistic()
+        return MinCutOptimisticSearch()
     if spec.style == "mc":
         if spec.space.is_left_deep:
             return MinCutLeftDeep()
-        return MinCutLazy()
+        return MinCutLazySearch()
     # naive
     if spec.space.is_left_deep:
         if spec.space.allows_cartesian_products:

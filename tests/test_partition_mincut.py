@@ -8,15 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import Metrics
+from repro.conformance.oracles import connected_subsets
 from repro.core.bitset import bit, mask_of, popcount
+from repro.obs.tracer import Tracer
 from repro.partition import (
     BruteForceMinCuts,
     MinCutEager,
     MinCutLazy,
+    MinCutLazySearch,
     MinCutLeftDeep,
     MinCutOptimistic,
+    MinCutOptimisticSearch,
     minimal_cut_pairs,
 )
+from repro.partition import mincut_lazy
+from repro.registry import make_optimizer
 from repro.workloads import (
     binary_tree,
     chain,
@@ -28,7 +34,7 @@ from repro.workloads import (
     wheel,
 )
 
-from tests.helpers import small_graphs
+from tests.helpers import make_query, small_graphs
 
 ALL_STRATEGIES = [
     MinCutLazy(),
@@ -160,6 +166,95 @@ class TestOptimisticProfile:
             cuts = metrics.partitions_emitted // 2
             failures[n] = metrics.failed_connectivity_tests / cuts
         assert failures[16] > failures[8]
+
+
+class EventLog(Tracer):
+    """Keeps every strategy event, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, name, **data):
+        self.events.append((name, data))
+
+
+def traced(strategy, graph, subset, anchor, stop=None):
+    """Pairs, counters and events of one invocation, closed after ``stop``."""
+    strategy = strategy(anchor=anchor)
+    strategy.tracer = EventLog()
+    metrics = Metrics()
+    pairs = strategy.partitions(graph, subset, metrics)
+    taken = list(itertools.islice(pairs, stop))
+    pairs.close()
+    return taken, metrics, strategy.tracer.events
+
+
+SEARCH_PAIRS = [
+    (MinCutLazy, MinCutLazySearch),
+    (MinCutOptimistic, MinCutOptimisticSearch),
+]
+
+
+def assert_search_matches_literal(graph, subset):
+    """Default, lowest and highest anchors; full and closed after j pairs."""
+    anchors = [None, (subset & -subset).bit_length() - 1, subset.bit_length() - 1]
+    for literal, search in SEARCH_PAIRS:
+        for anchor in anchors:
+            full = traced(literal, graph, subset, anchor)
+            assert traced(search, graph, subset, anchor) == full, (
+                search.__name__, subset, anchor,
+            )
+            count = len(full[0])
+            for stop in sorted({0, 1, 2, 3, count // 2, count - 1}):
+                if 0 <= stop < count:
+                    assert traced(search, graph, subset, anchor, stop) == (
+                        traced(literal, graph, subset, anchor, stop)
+                    ), (search.__name__, subset, anchor, stop)
+
+
+class TestSearchStrategies:
+    """The search's strategies answer complete expressions in closed form
+    with the pairs, counters and events of their literal parents."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_clique_subsets_match_literal(self, n):
+        graph = clique(n)
+        for subset in connected_subsets(graph, min_size=2):
+            assert_search_matches_literal(graph, subset)
+
+    @pytest.mark.parametrize("cyclicity", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_graph_subsets_match_literal(self, cyclicity, seed):
+        graph = random_connected_graph(6 + seed, cyclicity, seed)
+        for subset in connected_subsets(graph, min_size=2):
+            assert_search_matches_literal(graph, subset)
+
+    def test_size3_tweak_stays_literal(self):
+        graph = clique(5)
+        for subset in connected_subsets(graph, min_size=2):
+            expected = run(MinCutLazy(size3_tweak=True), graph, subset)
+            assert run(MinCutLazySearch(size3_tweak=True), graph, subset) == expected
+
+    def test_clique_builds_no_tree(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = mincut_lazy.build_bcc_tree
+        monkeypatch.setattr(mincut_lazy, "build_bcc_tree", counting)
+        _, metrics = run(MinCutLazySearch(), clique(8))
+        assert calls == [] and metrics.bcc_trees_built == 2 ** 6
+        run(MinCutLazySearch(), cycle(8))
+        assert calls
+
+    def test_registry_searches_with_them(self):
+        query = make_query("clique", 5)
+        assert type(make_optimizer("TBNmc", query).partition) is MinCutLazySearch
+        assert type(make_optimizer("TBNmcopt", query).partition) is (
+            MinCutOptimisticSearch
+        )
 
 
 class TestLeftDeepMinCut:
