@@ -69,10 +69,6 @@ class Metrics:
     final_memo_plans: int = 0
     #: Lower bounds stored in the memo at end of run.
     final_memo_bounds: int = 0
-    #: Subproblem tasks dispatched to parallel workers (repro.parallel).
-    parallel_tasks: int = 0
-    #: Worker memo entries folded into the parent memo (repro.parallel).
-    parallel_entries_merged: int = 0
     #: Memo-missed expression computations charged against an anytime budget.
     anytime_nodes_spent: int = 0
     #: Anytime searches interrupted by budget exhaustion (repro.anytime).

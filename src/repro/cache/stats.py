@@ -1,10 +1,10 @@
 """Cache-level accounting for one memo table.
 
 :class:`~repro.analysis.metrics.Metrics` counts what the *search* did
-(lookups, hits, evictions) so parallel workers can merge counters; this
-dataclass counts what the *cache* did, including the tiers the search
-never sees (demotions into the cold tier, cold/shared read-through hits,
-and the recompute cost those hits avoided).  One instance lives on each
+(lookups, hits, evictions) per optimization run; this dataclass counts
+what the *cache* did, including the tiers the search never sees
+(demotions into the cold tier, cold/shared read-through hits, and the
+recompute cost those hits avoided).  One instance lives on each
 :class:`~repro.memo.MemoTable` and is surfaced as the ``memo`` block of
 ``repro optimize --json``.
 """
@@ -58,7 +58,7 @@ class CacheStats:
         }
 
     def merge(self, other: "CacheStats") -> None:
-        """Accumulate another table's stats (batch/parallel summaries)."""
+        """Accumulate another table's stats (batch summaries)."""
         self.hits += other.hits
         self.misses += other.misses
         self.evictions += other.evictions

@@ -15,9 +15,9 @@ Subcommands::
     repro serve [--port 7411] [--once]         # resident plan service
 
 ``--algorithm`` takes any registry name (``repro.registry``): a Table 1
-name or alias plus the ``@N`` workers, ``%policy[:cap[:cold]]`` bounded
-memo (Section 5.1), ``?budget`` anytime and ``^k`` ranking suffixes,
-e.g. ``--algorithm TBNmc@4`` or ``--algorithm TBNmcAP?500n``.  A name
+name or alias plus the ``%policy[:cap[:cold]]`` bounded memo
+(Section 5.1), ``?budget`` anytime and ``^k`` ranking suffixes, e.g.
+``--algorithm TBNmc%lru:64`` or ``--algorithm TBNmcAP?500n``.  A name
 the registry rejects ends the run with one ``error:`` line and exit
 status 2.
 
@@ -166,11 +166,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             tracer=tracer,
             registry=registry,
             profiler=profiler,
-            parallel_policy=getattr(args, "fork_policy", "auto"),
-            worker_trace_dir=getattr(args, "worker_trace_dir", None),
             memo_profile=memo_profile,
         )
-    except ValueError as exc:  # e.g. --profile-out on an @N name
+    except ValueError as exc:  # e.g. --profile-out on a bottom-up name
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ranked = None
@@ -182,20 +180,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             plan = optimizer.optimize()
     anytime_report = getattr(optimizer, "anytime", None)
     elapsed = stopwatch.elapsed_total
-    parallel_info = None
-    worker_results = getattr(optimizer, "worker_results", None)
-    if worker_results is not None:
-        parallel_info = {
-            "workers": optimizer.workers,
-            "policy": optimizer.policy,
-            "tasks": metrics.parallel_tasks,
-            "entries_merged": metrics.parallel_entries_merged,
-            "worker_traces": [
-                result.trace_path
-                for result in worker_results
-                if result.trace_path is not None
-            ],
-        }
     if tracer is not None:
         try:
             span_count = write_jsonl(tracer, args.trace_out)
@@ -239,8 +223,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "path": args.profile_out,
                 "kernels": [row["kernel"] for row in profile_report["kernels"]],
             }
-        if parallel_info is not None:
-            payload["parallel"] = parallel_info
         if anytime_report is not None:
             payload["anytime"] = anytime_report.to_dict()
         if ranked is not None:
@@ -256,13 +238,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         return 0
     print(f"query: {query.describe()}")
     print(f"algorithm: {args.algorithm}  ({elapsed * 1e3:.2f} ms)")
-    if parallel_info is not None:
-        print(
-            f"parallel: {parallel_info['workers']} workers, "
-            f"{parallel_info['policy']} policy, "
-            f"{parallel_info['tasks']} tasks, "
-            f"{parallel_info['entries_merged']} entries merged"
-        )
     if anytime_report is not None:
         gap = (
             "unbounded"
@@ -401,7 +376,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         optimizer = make_optimizer(
             args.algorithm, query, metrics=metrics, profiler=profiler
         )
-    except ValueError as exc:  # profiling needs a serial top-down name
+    except ValueError as exc:  # profiling needs a top-down name
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with Stopwatch() as stopwatch:
@@ -870,8 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", help="optimize a generated query")
     optimize.add_argument(
         "--algorithm", default="TBNmc",
-        help="registry name with optional @N workers, %%policy[:cap[:cold]] "
-             "memo, ?budget anytime and ^k ranking suffixes",
+        help="registry name with optional %%policy[:cap[:cold]] memo, "
+             "?budget anytime and ^k ranking suffixes",
     )
     optimize.add_argument(
         "--topology",
@@ -893,22 +868,12 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--profile-out", metavar="PATH",
         help="run under the kernel profiler and write its report JSON to "
-             "PATH (serial top-down algorithms only)",
+             "PATH (top-down algorithms only)",
     )
     optimize.add_argument(
         "--query",
         help="textual query DSL, e.g. 'a(1000) b(500) c(20); a-b:0.01' "
              "(overrides --topology/--n)",
-    )
-    optimize.add_argument(
-        "--fork-policy", default="auto", choices=["auto", "level", "subtree"],
-        help="parallel fork-point policy: level-synchronous frontiers "
-             "(work-conserving, default) or independent top-level cut "
-             "subtrees with a shared cost bound",
-    )
-    optimize.add_argument(
-        "--worker-trace-dir", metavar="DIR",
-        help="write one span-trace JSONL per worker into DIR",
     )
     optimize.add_argument(
         "--memo-profile", metavar="PATH",

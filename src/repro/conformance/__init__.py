@@ -6,8 +6,8 @@ plan space (Section 3.1), every cut of the minimal-cut strategies must be
 minimal per Definition 3.1, the enumeration counts must match the
 Ono–Lohman closed forms (Table 2), branch-and-bound and bounded memos must
 never lose the optimum (Sections 4.2/5.1), and the whole feature matrix —
-serial, parallel workers, eviction policies, bounding modes — must agree
-on one optimal plan per plan space.  The anytime/ranking tier adds two
+strategies, eviction policies, bounding modes — must agree on one
+optimal plan per plan space.  The anytime/ranking tier adds two
 more: ranked enumeration must extend the champion search bit-for-bit
 (``topk-soundness``) and every budgeted search must return a valid plan
 with a sound optimality-gap bound (``anytime-gap``).

@@ -28,8 +28,8 @@ suite, the differential fuzzer (:mod:`repro.conformance.fuzz`), and the
     unbounded memo (Section 5.1: the memo is a cache, not a table of
     guaranteed reads).
 ``plan-agreement``
-    Every configuration of the registry matrix (strategy x workers x memo
-    policy x bounding) agrees, per plan space, on one optimal cost, and
+    Every configuration of the registry matrix (strategy x memo policy x
+    bounding) agrees, per plan space, on one optimal cost, and
     every returned plan validates structurally against its space.
 ``topk-soundness``
     Ranked enumeration (``optimize_topk``, ``docs/anytime.md``) is an

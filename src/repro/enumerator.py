@@ -186,7 +186,10 @@ class TopDownEnumerator:
         self.query = query
         self.partition = partition
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.bounding = bounding
+        # The search loop reads plain booleans: a Flag membership test is
+        # a method call per candidate.
+        self._predicted = Bounding.PREDICTED in bounding
+        self._accumulated = Bounding.ACCUMULATED in bounding
         self.metrics = metrics if metrics is not None else Metrics()
         self.memo = memo if memo is not None else MemoTable(metrics=self.metrics)
         if self.memo.metrics is None:
@@ -263,20 +266,6 @@ class TopDownEnumerator:
         # eviction policy can refine its recompute weights with it.
         self._measure_compute = self._tracing and self.memo.wants_compute_seconds
         self._compute_stack: list[float] = []
-
-    @property
-    def bounding(self) -> Bounding:
-        """Branch-and-bound mode (may be reassigned, e.g. by parallel
-        workers running a level schedule)."""
-        return self._bounding
-
-    @bounding.setter
-    def bounding(self, bounding: Bounding) -> None:
-        self._bounding = bounding
-        # The search loop reads plain booleans: a Flag membership test is
-        # a method call per candidate.
-        self._predicted = Bounding.PREDICTED in bounding
-        self._accumulated = Bounding.ACCUMULATED in bounding
 
     @property
     def space(self) -> PlanSpace:
@@ -435,29 +424,6 @@ class TopDownEnumerator:
         if plan is None:
             raise OptimizationError("no plan exists for the query")
         return plan
-
-    def compute_best(
-        self,
-        subset: int,
-        order: int | None = None,
-        *,
-        budget: float | None = None,
-    ) -> Plan | None:
-        """Re-entrant subproblem solve over the (possibly pre-seeded) memo.
-
-        The workhorse of the parallel subsystem: a worker repeatedly calls
-        this for frontier subsets, the memo accumulating entries across
-        calls (and across entries imported from other workers).  With a
-        finite ``budget`` ``None`` means *no plan within budget* (a lower
-        bound is recorded in the memo); without one the search is
-        exhaustive and ``None`` means no plan exists at all for the
-        subset.
-        """
-        if subset == 0:
-            raise OptimizationError("empty expression")
-        return self._get_best(
-            subset, order, INFINITY if budget is None else budget
-        )
 
     def best_plan(self, subset: int, order: int | None = None) -> Plan:
         """Optimize an arbitrary sub-expression (used by tests/examples)."""
@@ -947,9 +913,7 @@ class TopDownEnumerator:
         distribution should stay flat as queries grow.
 
         The first join costed by an enumerator observes a zero gap, so the
-        invariant ``histogram.count == join_operators_costed`` holds — and
-        keeps holding when per-worker registries of a parallel run are
-        merged (each worker contributes exactly one zero observation).
+        invariant ``histogram.count == join_operators_costed`` holds.
         """
         assert self._h_join_gap is not None  # caller guards on the histogram
         now = clock()

@@ -14,7 +14,7 @@ invariants rest on *statically*, at review time:
 * **metrics discipline** — counter fields and instrument names must be
   declared (cross-checked by introspecting the live modules);
 * **import layering** — the package DAG ``core → partition → enumerator
-  → {parallel, conformance} → cli`` admits no upward imports.
+  → registry → conformance → cli`` admits no upward imports.
 
 Entry points: ``repro lint`` on the CLI, :func:`lint_paths` /
 :func:`lint_source` from code and tests.  See ``docs/static-analysis.md``

@@ -3,10 +3,10 @@
 Scope: *lock-owning classes* — any class that assigns a
 ``threading.Lock``/``RLock``/``Condition`` (or similar) to a ``self``
 attribute, or whose methods contain a ``with <lock-ish>`` block (this
-covers ``SharedBound``'s ``with self._value.get_lock():``).  Owning a
-lock is the author's own declaration that instances are shared across
-threads, so the discipline applies to every instance attribute of the
-class.
+covers a ``multiprocessing.Value``'s ``with self._value.get_lock():``).
+Owning a lock is the author's own declaration that instances are shared
+across threads, so the discipline applies to every instance attribute of
+the class.
 
 The inferred fact is *guarded-by consistency*: if an attribute is ever
 accessed under a lock (outside ``__init__``), then **every** access to

@@ -1,11 +1,11 @@
 """Determinism rules: seeded randomness and order-stable iteration.
 
-The parallel runtime requires workers to rebuild bit-identical queries
-from seeds, and CI regression baselines pin exact counter values — both
-break the moment an unseeded generator or an ordering-sensitive iteration
-over a hash-ordered container slips into the reproducible paths.  These
-rules are the static counterpart of the dynamic guarantees in
-``repro.workloads.seeding`` and ``repro.parallel.merge``.
+CI regression baselines and the golden plan file pin exact plans and
+counter values, and the ledger rebuilds its queries from seeds in fresh
+processes — all break the moment an unseeded generator or an
+ordering-sensitive iteration over a hash-ordered container slips into the
+reproducible paths.  These rules are the static counterpart of the
+dynamic guarantee in ``repro.workloads.seeding``.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def _is_set_expression(node: ast.expr) -> bool:
 class SetIterationOrderRule(Rule):
     """No set iteration feeding ordering-sensitive sinks.
 
-    Within the deterministic-merge subsystems (``parallel``, ``cache``,
-    ``memo``, ``conformance``), iterating a ``set``/``frozenset`` into
+    Within the order-critical subsystems (``cache``, ``memo``,
+    ``conformance``), iterating a ``set``/``frozenset`` into
     anything that preserves order — a ``for`` loop, ``list()``,
     ``enumerate()``, a list comprehension, ``str.join`` — makes results
     depend on hash seeding.  Wrap the set in ``sorted(...)`` or keep a
@@ -123,7 +123,7 @@ class SetIterationOrderRule(Rule):
         "set/frozenset iterated into an ordering-sensitive sink in an "
         "order-critical package"
     )
-    scope = ("repro.parallel", "repro.cache", "repro.memo", "repro.conformance")
+    scope = ("repro.cache", "repro.memo", "repro.conformance")
 
     _ORDER_SINKS = frozenset({"list", "tuple", "enumerate", "iter"})
 
@@ -178,7 +178,7 @@ class IdentityOrderingRule(Rule):
 
     ``sorted(xs, key=lambda x: id(x))`` (or ``hash``) orders by allocation
     address or hash seed — different in every process, so any downstream
-    consumer of the order diverges between the driver and its workers.
+    consumer of the order diverges from one run to the next.
     """
 
     name = "identity-ordering"

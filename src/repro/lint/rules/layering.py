@@ -6,7 +6,7 @@ The architecture is a strict layering (lowest first)::
          → {obs, cost, cache, exec} → partition
          → {memo, bottomup, prefix, transform}
          → {enumerator, anytime}
-         → parallel → registry → {multiphase, serve} → experiments
+         → registry → {multiphase, serve} → experiments
          → conformance → {lint, cli}
 
 A module may import only from packages at or below its own rank.  Upward
@@ -19,10 +19,9 @@ a pragma with a written justification.
 ``repro.cache`` sits *below* ``repro.memo``: the package holds the
 eviction-policy and cold-tier machinery the memo composes, while the
 cross-query cache surface (``GlobalPlanCache``) lives in ``repro.memo``
-itself.  ``repro.registry`` (the name → factory catalog) sits below
-``repro.parallel``: workers rebuild optimizers from spec strings through
-the registry, while the registry's construction of a parallel enumerator
-for ``@N`` suffixes is the one documented lazy inversion.  The facade
+itself.  ``repro.registry`` (the name → factory catalog) sits directly
+above the optimizers it builds and below everything that builds
+optimizers by name.  The facade
 ``repro/__init__`` re-exports from everywhere and is ranked at the top
 alongside the CLI.
 """
@@ -56,14 +55,13 @@ LAYERS: dict[str, int] = {
     "repro.enumerator": 6,
     "repro.anytime": 6,  # budgets/seeds/k-best the enumerator composes
     "repro.registry": 7,
-    "repro.parallel": 8,
-    "repro.multiphase": 9,
-    "repro.serve": 9,
-    "repro.experiments": 10,
-    "repro.conformance": 11,
-    "repro.lint": 12,
-    "repro.cli": 12,
-    "repro": 13,  # the facade __init__ re-exports from every layer
+    "repro.multiphase": 8,
+    "repro.serve": 8,
+    "repro.experiments": 9,
+    "repro.conformance": 10,
+    "repro.lint": 11,
+    "repro.cli": 11,
+    "repro": 12,  # the facade __init__ re-exports from every layer
 }
 
 
@@ -182,5 +180,5 @@ class ImportLayeringRule(Rule):
                     f"upward import: {source_pkg} (layer {source_rank}) "
                     f"imports {target_pkg} (layer {target_rank}); the "
                     "layering DAG is core → partition → enumerator → "
-                    "{parallel, conformance} → cli",
+                    "registry → conformance → cli",
                 )

@@ -54,7 +54,7 @@ class MetricsFieldRule(Rule):
     Catches the typo class of bug where ``metrics.memo_evictons += 1``
     creates a ghost attribute invisible to ``snapshot``/``merge``/
     ``to_dict`` — the counter "works" locally but vanishes from span
-    deltas, parallel merges, and the JSON exporters.
+    deltas, multi-phase merges, and the JSON exporters.
     """
 
     name = "metrics-field"

@@ -27,8 +27,8 @@ A lower-bound cell left by a join expansion also keeps that expansion's
 candidate :class:`Frontier`, so a re-expansion under a larger budget
 replays it instead of partitioning and costing again.  The frontier lives
 and dies with its cell: a capped memo evicts it with the cell, a plan
-store replaces it, and the cold tier, the wire format and the shared
-cross-query cache never carry it.  It adds no footprint units, so a
+store replaces it, and neither the cold tier nor the shared cross-query
+cache carries it.  It adds no footprint units, so a
 capacity bounds cells, not bytes.
 """
 
@@ -38,7 +38,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional, cast
+from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional
 
 from repro.analysis.metrics import Metrics
 from repro.core.bitset import iter_bits
@@ -60,11 +60,6 @@ __all__ = [
     "GlobalPlanCache",
     "canonical_expression_key",
 ]
-
-#: ``(subset, order, plan_wire, lower_bound)`` — the pickle-safe cell format
-#: shipped between processes; see :meth:`MemoTable.export_entries`.
-WireEntry = tuple[int, Optional[int], Optional[tuple[object, ...]], Optional[float]]
-
 
 class Frontier(NamedTuple):
     """The candidate frontier of one completed, failed join expansion.
@@ -553,66 +548,9 @@ class MemoTable:
         if self._h_occupancy is not None:
             self._h_occupancy.observe(len(cells))
 
-    # -- cross-process export/import (repro.parallel) ---------------------------
-
     def keys(self) -> list[Hashable]:
         """Current cell keys, in insertion (LRU) order."""
         return list(self._cells)
-
-    def export_entries(
-        self, exclude: "set[Hashable] | None" = None
-    ) -> list[WireEntry]:
-        """Serialize populated cells as pickle-safe wire tuples.
-
-        Each entry is ``(subset, order, plan_wire, lower_bound)`` where
-        ``plan_wire`` is :meth:`~repro.plans.physical.Plan.to_wire` output
-        (or ``None`` for lower-bound-only cells).  ``exclude`` skips keys
-        already shipped, so workers send per-round deltas only.  Entries
-        survive eviction-order round trips: exporting, evicting, and
-        re-importing reproduces the same logical contents.
-
-        Only meaningful for memos keyed by ``(subset, order)``;
-        :class:`GlobalPlanCache` overrides this to reject export.
-        """
-        entries: list[WireEntry] = []
-        for key, entry in self._cells.items():
-            if exclude is not None and key in exclude:
-                continue
-            subset, order = cast("tuple[int, Optional[int]]", key)
-            entries.append(
-                (
-                    subset,
-                    order,
-                    None if entry.plan is None else entry.plan.to_wire(),
-                    entry.lower_bound,
-                )
-            )
-        return entries
-
-    def import_entries(self, query: Query, entries: list[WireEntry]) -> int:
-        """Fold wire entries (see :meth:`export_entries`) into this memo.
-
-        Deterministic conflict policy: an existing *plan* cell always wins
-        (first import wins — under exhaustive search all candidates are
-        bit-identical anyway); lower bounds never displace plans and keep
-        the max of the failed budgets.  Returns the number of entries that
-        changed the table.  Only the hot tier is consulted for conflicts —
-        an import must not trigger cold promotions or shared read-through.
-        """
-        imported = 0
-        for subset, order, plan_wire, lower_bound in entries:
-            existing = self.peek(query, subset, order)
-            if plan_wire is not None:
-                if existing is not None and existing.has_plan:
-                    continue
-                self.store_plan(query, subset, order, Plan.from_wire(plan_wire))
-                imported += 1
-            elif lower_bound is not None:
-                if existing is not None and existing.has_plan:
-                    continue
-                self.store_lower_bound(query, subset, order, lower_bound)
-                imported += 1
-        return imported
 
     # -- statistics -----------------------------------------------------------
 
@@ -702,10 +640,7 @@ class GlobalPlanCache(MemoTable):
 
     Beyond serving directly as an enumerator's memo, the cache acts as
     the read-through/write-through backing tier of per-query
-    :class:`MemoTable`\\ s (their ``shared=`` parameter) and seeds
-    parallel workers: :meth:`export_for_query` relabels every applicable
-    plan into one query's ``(subset, order)`` wire entries, and
-    :meth:`absorb_memo` folds a finished query's memo back in.
+    :class:`MemoTable`\\ s (their ``shared=`` parameter).
 
     Unlike per-query memos (each owned by exactly one enumerator), a
     shared cache is read and written by whoever holds a reference — the
@@ -741,9 +676,9 @@ class GlobalPlanCache(MemoTable):
 
     # -- concurrency --------------------------------------------------------------
     #
-    # Reentrant because absorb_memo calls peek/store_plan and get can
-    # recurse into _store (cold promotion); plan_for_query stays lock-free
-    # (it only reads an immutable entry already handed to the caller).
+    # Reentrant because get can recurse into _store (cold promotion);
+    # plan_for_query stays lock-free (it only reads an immutable entry
+    # already handed to the caller).
 
     def get(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
         with self._lock:
@@ -778,16 +713,6 @@ class GlobalPlanCache(MemoTable):
         with self._lock:
             super().clear()
             self._name_maps.clear()
-
-    def export_entries(
-        self, exclude: "set[Hashable] | None" = None
-    ) -> list[WireEntry]:
-        """Cross-query cells are not ``(subset, order)``-keyed; refuse export."""
-        raise TypeError(
-            "GlobalPlanCache entries are keyed by canonical expression and "
-            "cannot be exported in the per-query wire format; use "
-            "export_for_query(query) to project them onto one query"
-        )
 
     def store_plan(
         self,
@@ -852,65 +777,3 @@ class GlobalPlanCache(MemoTable):
             return entry.plan.relabel(mapping)
         except KeyError:
             return None
-
-    # -- cross-query projection (repro.parallel seeding) ------------------------
-
-    def export_for_query(self, query: Query) -> list[WireEntry]:
-        """Project every applicable plan onto ``query``'s wire format.
-
-        A cached plan applies iff all its relations exist in ``query``
-        *and* the canonical key recomputed from the reader's side matches
-        the cell's key — the latter guards against same-named relations
-        with different statistics or predicates (a plan optimal under old
-        stats must not leak into a query with new ones).  The result is
-        sorted by ``(subset, order)`` so downstream seeding/merging is
-        deterministic regardless of cache insertion history.
-        """
-        name_to_vertex = {query.relations[v].name: v for v in range(query.n)}
-        entries: list[WireEntry] = []
-        with self._lock:
-            cells = list(self._cells.items())
-        for key, entry in cells:
-            if not entry.has_plan:
-                continue
-            plan = self.plan_for_query(query, entry)
-            if plan is None:
-                continue
-            order_name = cast("tuple[object, object, Optional[str]]", key)[2]
-            if order_name is None:
-                order = None
-            else:
-                order = name_to_vertex.get(order_name)
-                if order is None:
-                    continue
-            if canonical_expression_key(query, plan.vertices, order) != key:
-                continue
-            entries.append((plan.vertices, order, plan.to_wire(), None))
-        entries.sort(key=lambda e: (e[0], e[1] is not None, e[1] or 0))
-        return entries
-
-    def absorb_memo(self, query: Query, memo: MemoTable) -> int:
-        """Fold a finished query's per-query memo into this cache.
-
-        Imports plan cells only (lower bounds are budget-relative scratch
-        state); existing cells are left alone, matching the deterministic
-        first-plan-wins conflict policy of :meth:`MemoTable.import_entries`.
-        Returns the number of plans added.
-        """
-        if isinstance(memo, GlobalPlanCache):
-            raise TypeError("absorb_memo expects a per-query (subset, order) memo")
-        added = 0
-        with self._lock:
-            for key in memo.keys():
-                subset, order = cast("tuple[int, Optional[int]]", key)
-                entry = memo.peek(query, subset, order)
-                if entry is None or not entry.has_plan:
-                    continue
-                plan = memo.plan_for_query(query, entry)
-                if plan is None:
-                    continue
-                if self.peek(query, subset, order) is not None:
-                    continue
-                self.store_plan(query, subset, order, plan)
-                added += 1
-        return added

@@ -82,7 +82,7 @@ class Counter:
         self.value += amount
 
     def merge(self, other: "Counter") -> None:
-        """Accumulate another counter (parallel per-worker registries)."""
+        """Accumulate another counter (see :meth:`MetricsRegistry.merge`)."""
         self.value += other.value
 
     def to_dict(self) -> dict[str, Any]:
@@ -112,8 +112,8 @@ class Histogram:
         """Append another histogram's raw observations to this one.
 
         Percentiles of the merged distribution are exact (raw values are
-        kept), which is what makes per-worker registries of a parallel run
-        foldable into one apples-to-apples distribution.
+        kept), so separately recorded registries fold into one
+        apples-to-apples distribution.
         """
         self.values.extend(other.values)
         self.total += other.total
@@ -244,10 +244,10 @@ class MetricsRegistry:
 
         Instruments present in both must share a type (the usual
         name-collision rule); instruments only in ``other`` are adopted
-        with their current contents.  Used to fold the per-worker
-        registries of a parallel run into the parent's registry so
-        distribution instruments (e.g. time-between-joins) cover the whole
-        run.
+        with their current contents.  Used to fold per-run registries
+        (the repeats of :mod:`repro.conformance.optimality`, the requests
+        of the plan service) into one whose distribution instruments
+        cover them all.
         """
         for name, instrument in other._instruments.items():
             if isinstance(instrument, Counter):

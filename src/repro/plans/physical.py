@@ -110,9 +110,9 @@ class Plan:
     def to_wire(self) -> PlanWire:
         """Compact pickle-safe encoding (nested tuples, no class refs).
 
-        Used by the parallel subsystem to ship memo entries between
-        processes without pickling class metadata per node; round-trips
-        exactly through :meth:`from_wire`.
+        Used by the memo's cold tier to keep demoted plans without a
+        ``Plan`` object per node, and by the plan service's responses;
+        round-trips exactly through :meth:`from_wire`.
         """
         return (
             self.op,

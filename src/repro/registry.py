@@ -18,11 +18,9 @@ algorithm; ``TLNmcAP`` adds combined bounding; ``BBNccp`` is DPccp.
 Friendly aliases (``mincutlazy``, ``dpccp``, ``leftdeep``, ...) resolve
 to the Table 1 names; see :data:`ALGORITHM_ALIASES`.
 
-Four optional suffixes configure the run; each may appear once, in any
+Three optional suffixes configure the run; each may appear once, in any
 order, and all need a top-down algorithm:
 
-* ``@N`` — parallel execution over ``N`` worker processes (``TBNmc@4``;
-  the ``parallel`` alias is shorthand for ``TBNmc@4``);
 * ``%policy[:capacity[:cold]]`` — a capacity-bounded memo with the named
   eviction policy (Section 5.1 / Figures 21–30): ``TBNmc%lru:64``, or
   ``TBNmc%cost:64:128`` with a 128-entry cold demotion tier.  Policies:
@@ -33,13 +31,12 @@ order, and all need a top-down algorithm:
   returns the best plan found within the budget and reports a certified
   optimality-gap bound on its ``anytime`` attribute;
 * ``^k`` — the default rank depth of ``optimize_topk()`` (``TBNmc^3``
-  ranks the 3 cheapest distinct plans).  Ranking is serial (ranked cells
-  live in one memo) and exhaustive, so ``^k`` excludes ``@N`` and
-  ``?budget``.
+  ranks the 3 cheapest distinct plans).  Ranking is exhaustive, so
+  ``^k`` excludes ``?budget``.
 
 :meth:`OptimizerConfig.parse` is the one parser of this grammar and
 ``str(config)`` the one formatter; the canonical order is
-``base@N%policy:cap:cold?budget^k``, e.g. ``TBNmc@2%cost:64?250ms``.
+``base%policy:cap:cold?budget^k``, e.g. ``TBNmc%cost:64?250ms``.
 """
 
 from __future__ import annotations
@@ -92,7 +89,7 @@ _NAME_PATTERN = re.compile(
 )
 
 #: One configuration suffix: its marker and its body up to the next marker.
-_SUFFIX_PATTERN = re.compile(r"([@%?^])([^@%?^]*)")
+_SUFFIX_PATTERN = re.compile(r"([%?^])([^%?^]*)")
 
 #: Friendly names for the strategies, usable anywhere a Table 1 name is
 #: (CLI ``--algorithm``, :func:`make_optimizer`, :func:`optimize`).
@@ -108,9 +105,6 @@ ALGORITHM_ALIASES = {
     "dpccp": "BBNccp",
     "dpsize": "BBNsize",
     "dpsub": "BBNnaive",
-    "parallel": "TBNmc@4",
-    "parallelmincut": "TBNmc@4",
-    "parallelnaive": "TBNnaive@4",
 }
 
 #: The algorithm names Table 1 lists as implemented (canonical casing).
@@ -201,16 +195,15 @@ class MemoSpec:
 class OptimizerConfig:
     """One optimizer configuration: a Table 1 algorithm plus its suffixes.
 
-    ``workers`` is the ``@N`` process count (``None``: serial), ``memo``
-    the ``%policy`` bounded memo, ``budget`` the ``?budget`` anytime
-    limit and ``top_k`` the ``^k`` default rank depth.  The constructor
-    checks every cross-field rule of the grammar, so each surface — a
-    registry name, ``repro optimize --algorithm``, a served request's
-    ``algorithm`` — rejects the same configurations with the same error.
+    ``memo`` is the ``%policy`` bounded memo, ``budget`` the ``?budget``
+    anytime limit and ``top_k`` the ``^k`` default rank depth.  The
+    constructor checks every cross-field rule of the grammar, so each
+    surface — a registry name, ``repro optimize --algorithm``, a served
+    request's ``algorithm`` — rejects the same configurations with the
+    same error.
     """
 
     spec: AlgorithmSpec
-    workers: int | None = None
     memo: MemoSpec | None = None
     budget: Budget | None = None
     top_k: int | None = None
@@ -218,24 +211,16 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget.is_unlimited:
             raise ValueError(f"{self.spec.name}: a ?budget must bound something")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"{self}: the @N worker count must be >= 1")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"{self}: the ^k rank depth must be >= 1")
         if not self.spec.top_down:
             for value, what in (
-                (self.workers, "parallel @N execution"),
                 (self.memo, "a %policy memo"),
                 (self.budget, "an anytime ?budget"),
                 (self.top_k, "^k ranked enumeration"),
             ):
                 if value is not None:
                     raise ValueError(f"{self}: {what} needs a top-down algorithm")
-        if self.top_k is not None and self.workers is not None:
-            raise ValueError(
-                f"{self}: ranked enumeration is serial-only (ranked memo "
-                "cells live in one memo); drop ^k or the @N worker count"
-            )
         if self.top_k is not None and self.budget is not None:
             raise ValueError(
                 f"{self}: ^k ranks plans exhaustively; drop ^k or the ?budget"
@@ -243,8 +228,6 @@ class OptimizerConfig:
 
     def __str__(self) -> str:
         text = self.spec.name
-        if self.workers is not None:
-            text += f"@{self.workers}"
         if self.memo is not None:
             text += f"%{self.memo.token()}"
         if self.budget is not None:
@@ -256,31 +239,25 @@ class OptimizerConfig:
     @staticmethod
     @functools.lru_cache(maxsize=256)
     def parse(name: str) -> OptimizerConfig:
-        """Parse a registry name: alias or Table 1 base, then suffixes.
-
-        An alias's own worker count (``parallel`` is ``TBNmc@4``) yields
-        to an explicit ``@N`` (``parallel@2`` is ``TBNmc@2``).
-        """
-        base = re.split(r"[@%?^]", name, maxsplit=1)[0]
+        """Parse a registry name: alias or Table 1 base, then suffixes."""
+        base = re.split(r"[%?^]", name, maxsplit=1)[0]
         suffixes: dict[str, str] = {}
         for mark, body in _SUFFIX_PATTERN.findall(name, len(base)):
             if mark in suffixes:
                 raise ValueError(f"duplicate {mark} suffix in algorithm name {name!r}")
             suffixes[mark] = body
-        base, workers = _expand_alias(base)
         try:
-            if "@" in suffixes:
-                workers = _count(suffixes["@"], "the @N worker count")
             memo = MemoSpec.parse_token(suffixes["%"]) if "%" in suffixes else None
             budget = Budget.parse_token(suffixes["?"]) if "?" in suffixes else None
             top_k = _count(suffixes["^"], "the ^k rank") if "^" in suffixes else None
         except ValueError as error:
             raise ValueError(f"invalid suffix in algorithm name {name!r}: {error}") from None
-        return OptimizerConfig(parse_name(base), workers, memo, budget, top_k)
+        spec = parse_name(_expand_alias(base))
+        return OptimizerConfig(spec, memo, budget, top_k)
 
 
-def _expand_alias(base: str) -> tuple[str, int | None]:
-    """Map a friendly alias to ``(Table 1 name, alias worker count)``.
+def _expand_alias(base: str) -> str:
+    """Map a friendly alias to its Table 1 name.
 
     An ``A``/``P``/``AP`` bounding suffix (separated or not) is kept:
     ``mincutlazy-AP`` resolves to ``TBNmcAP``.  Other names pass through.
@@ -291,9 +268,8 @@ def _expand_alias(base: str) -> tuple[str, int | None]:
             continue
         target = ALGORITHM_ALIASES.get(normalized[: len(normalized) - len(suffix)])
         if target is not None:
-            target, _, workers = target.partition("@")
-            return target + suffix.upper(), int(workers) if workers else None
-    return base, None
+            return target + suffix.upper()
+    return base
 
 
 @functools.lru_cache(maxsize=256)
@@ -355,16 +331,16 @@ def available_algorithms(include_bounded: bool = True) -> list[str]:
 
 
 def conformance_matrix(
-    *, workers: int = 2, memo_capacity: int = 24
+    *, memo_capacity: int = 24
 ) -> dict[str, tuple[str, ...]]:
     """The differential-testing matrix of :mod:`repro.conformance`.
 
     Groups registry configurations by plan space: every configuration in a
     group must return the same optimal plan cost on any query, because
-    they search the same space — serially or with ``@N`` workers, with an
-    unbounded memo or any ``%policy`` bounded one, exhaustively or under
-    either branch-and-bound mode.  One source of truth shared by
-    ``repro verify``, the fuzz driver, and the conformance tests.
+    they search the same space — with an unbounded memo or any
+    ``%policy`` bounded one, exhaustively or under either branch-and-bound
+    mode.  One source of truth shared by ``repro verify``, the fuzz
+    driver, and the conformance tests.
     """
     return {
         "bushy-cp-free": (
@@ -377,7 +353,6 @@ def conformance_matrix(
             "TBNmcA",
             "TBNmcP",
             "TBNmcAP",
-            f"TBNmc@{workers}",
             f"TBNmc%cost:{memo_capacity}",
             f"TBNmc%profile:{memo_capacity}",
             f"TBNmc%lru:{memo_capacity}:{memo_capacity}",
@@ -433,17 +408,13 @@ def make_optimizer(
     profiler: KernelProfiler | None = None,
     memo_profile: CostProfile | None = None,
     global_cache: GlobalPlanCache | None = None,
-    parallel_policy: str = "auto",
-    worker_trace_dir: str | None = None,
-    start_method: str | None = None,
 ):
     """Instantiate the named (or configured) algorithm over ``query``.
 
     Returns an object with an ``optimize(order=None) -> Plan`` method and
-    ``metrics`` attribute (a :class:`TopDownEnumerator`, a bottom-up
-    optimizer, or — for an ``@N`` configuration — a
-    :class:`~repro.parallel.scheduler.ParallelEnumerator`).  Everything
-    the name's suffixes say — workers, memo policy, anytime budget
+    ``metrics`` attribute (a :class:`TopDownEnumerator` or a bottom-up
+    optimizer).  Everything the name's suffixes say — memo policy,
+    anytime budget
     (the enumerator's default for ``optimize()``), ``optimize_topk``
     rank — comes from :meth:`OptimizerConfig.parse`; the keyword
     arguments only attach runtime objects.
@@ -451,16 +422,11 @@ def make_optimizer(
     ``tracer`` and ``registry`` attach the :mod:`repro.obs`
     instrumentation; both default to off (zero overhead).  ``profiler``
     attaches a kernel profiler (:mod:`repro.obs.profile`) and requires a
-    serial top-down algorithm — bottom-up optimizers have no
-    partition/memo kernels to attribute, and parallel workers would need
-    per-process profilers.  ``memo`` is a prebuilt memo; ``memo_profile``
+    top-down algorithm — bottom-up optimizers have no partition/memo
+    kernels to attribute.  ``memo`` is a prebuilt memo; ``memo_profile``
     feeds the ``profile`` eviction policy and ``global_cache`` attaches a
     cross-query :class:`~repro.memo.GlobalPlanCache` as the memo's shared
     read-through tier — both build the memo, so they exclude ``memo``.
-    ``parallel_policy``, ``worker_trace_dir`` and ``start_method``
-    configure the parallel runtime and are ignored for serial runs.  A
-    budget on an ``@N`` run bounds the finishing pass (the level rounds
-    run unbudgeted in worker processes).
     """
     config = (
         name_or_config
@@ -483,30 +449,9 @@ def make_optimizer(
             profile=memo_profile,
             shared=global_cache,
         )
-    if profiler is not None and (config.workers is not None or not spec.top_down):
+    if profiler is not None and not spec.top_down:
         raise ValueError(
-            f"{config}: kernel profiling requires a serial top-down algorithm"
-        )
-    if config.workers is not None:
-        # lint: disable=import-layering -- documented inversion: the "@N"
-        # suffix names a parallel run, so the factory must construct the
-        # runtime one layer above it; lazy keeps import time acyclic.
-        from repro.parallel.scheduler import ParallelEnumerator
-
-        return ParallelEnumerator(
-            query,
-            spec.name,
-            config.workers,
-            policy=parallel_policy,
-            cost_model=cost_model,
-            memo=memo,
-            metrics=metrics,
-            tracer=tracer,
-            registry=registry,
-            trace_dir=worker_trace_dir,
-            start_method=start_method,
-            global_cache=global_cache,
-            budget=config.budget,
+            f"{config}: kernel profiling requires a top-down algorithm"
         )
     if spec.top_down:
         return TopDownEnumerator(
@@ -552,9 +497,7 @@ def optimize(
     optimizer = make_optimizer(
         name, query, cost_model, metrics=metrics, tracer=tracer, registry=registry
     )
-    if isinstance(optimizer, TopDownEnumerator) or hasattr(
-        optimizer, "worker_results"
-    ):
+    if isinstance(optimizer, TopDownEnumerator):
         return optimizer.optimize(order, initial_plan=initial_plan)
     if initial_plan is not None:
         raise ValueError("initial plans require a top-down optimizer")

@@ -6,14 +6,14 @@ event loop stays responsive while CPU-bound enumeration runs; the
 concurrent worker threads safe against each other and against
 event-loop-side lookups.
 
-Plan caches are namespaced by serial algorithm family (the
+Plan caches are namespaced by algorithm family (the
 ``config.spec.name`` of :class:`~repro.serve.protocol.OptimizeRequest`):
-every configuration of one family — serial, ``@N`` parallel, ``%policy``
-memo-bounded — searches the same plan space and shares one cache, while
-e.g. left-deep plans can never answer a bushy request.  Top-down
-algorithms attach the family cache as their memo's shared tier, so even
-a *miss* deposits every optimal sub-plan for future cross-query reuse;
-bottom-up baselines only contribute their final plan.
+every configuration of one family — unbounded, ``%policy``
+memo-bounded, ``?budget`` anytime — searches the same plan space and
+shares one cache, while e.g. left-deep plans can never answer a bushy
+request.  Top-down algorithms attach the family cache as their memo's
+shared tier, so even a *miss* deposits every optimal sub-plan for future
+cross-query reuse; bottom-up baselines only contribute their final plan.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ class Dispatcher:
 
     # -- plan cache --------------------------------------------------------------
 
-    def cache_for(self, serial_base: str) -> GlobalPlanCache:
-        """The (unbounded) plan cache of one serial algorithm family."""
+    def cache_for(self, family: str) -> GlobalPlanCache:
+        """The (unbounded) plan cache of one algorithm family."""
         with self._caches_lock:
-            cache = self._caches.get(serial_base)
+            cache = self._caches.get(family)
             if cache is None:
                 cache = GlobalPlanCache()
-                self._caches[serial_base] = cache
+                self._caches[family] = cache
             return cache
 
     def lookup(self, request: OptimizeRequest) -> Plan | None:

@@ -33,11 +33,11 @@ structure of :class:`~repro.catalog.parser.QuerySyntaxError` under
 ``error`` — the service's 400-equivalent.
 
 Canonicalization: two requests are *identical work* iff they resolve to
-the same serial algorithm family (the config's ``spec.name``: ``@N`` and
-``%policy`` suffixes change the execution strategy, not the answer
-space) and the same :func:`~repro.memo.canonical_expression_key` over
-the full vertex set, i.e. the same relation names, statistics, and
-predicate signature regardless of declaration order or vertex numbering.
+the same algorithm family (the config's ``spec.name``: a ``%policy``
+suffix changes the execution strategy, not the answer space) and the
+same :func:`~repro.memo.canonical_expression_key` over the full vertex
+set, i.e. the same relation names, statistics, and predicate signature
+regardless of declaration order or vertex numbering.
 That tuple — extended with the budget token and ``^k`` depth, since a
 truncated or ranked search is *different work* whose answer must never
 stand in for the exact champion — is the plan-cache and single-flight
@@ -111,9 +111,9 @@ class OptimizeRequest:
     """One admitted unit of optimization work.
 
     ``config`` is the parsed ``algorithm`` field that dispatch executes.
-    Its ``spec.name`` — the serial algorithm, with ``@N``/``%policy``
-    dropped — namespaces the plan cache: configurations of one serial
-    algorithm search the same space and may share plans, different
+    Its ``spec.name`` — the Table 1 algorithm, with its suffixes
+    dropped — namespaces the plan cache: configurations of one algorithm
+    search the same space and may share plans, different
     spaces must not.
     """
 
@@ -255,7 +255,7 @@ def build_request(
 
 
 def cache_key(request: OptimizeRequest) -> Hashable:
-    """Single-flight / plan-cache key: serial family x limits x query.
+    """Single-flight / plan-cache key: algorithm family x limits x query.
 
     The budget token and ``top_k`` depth are part of the key because a
     truncated or ranked optimization is different work: an unbudgeted

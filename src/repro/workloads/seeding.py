@@ -1,10 +1,10 @@
 """Deterministic default seeding for every stochastic generator.
 
 A generator that silently falls back to an unseeded ``random.Random``
-produces different workloads in every process — fatal for the parallel
-runtime (workers must reconstruct the *same* query the driver built) and
-for CI regression baselines (committed counter values must be exactly
-reproducible).  Every ``rng`` parameter in :mod:`repro.workloads` and
+produces different workloads in every process — fatal for CI regression
+baselines and golden plan files (committed counter values must be exactly
+reproducible) and for the ledger, which rebuilds its queries in fresh
+processes.  Every ``rng`` parameter in :mod:`repro.workloads` and
 :mod:`repro.exec` therefore resolves through :func:`coerce_rng`: ``None``
 means *the* default seed, not *a fresh* generator.  Pass an explicit seed
 or ``random.Random`` for independent draws.

@@ -275,54 +275,6 @@ class TestOutPathCreation:
         assert "cannot create directory" in capsys.readouterr().err
 
 
-class TestParallelCli:
-    def _cost_of(self, capsys, argv):
-        import json
-
-        assert main(argv) == 0
-        return json.loads(capsys.readouterr().out)
-
-    def test_workers_flag_matches_serial_on_clique8(self, capsys):
-        base = ["optimize", "--topology", "clique", "--n", "8",
-                "--seed", "42", "--json"]
-        serial = self._cost_of(capsys, base)
-        parallel = self._cost_of(capsys, base + ["--algorithm", "TBNmc@2"])
-        assert parallel["cost"] == serial["cost"]
-        assert parallel["plan"] == serial["plan"]
-        assert parallel["parallel"]["workers"] == 2
-        assert parallel["parallel"]["tasks"] > 0
-        assert "parallel" not in serial
-
-    def test_at_suffix_algorithm_name(self, capsys):
-        payload = self._cost_of(
-            capsys,
-            ["optimize", "--algorithm", "mincutlazy@2", "--topology",
-             "star", "--n", "7", "--json"],
-        )
-        assert payload["parallel"]["workers"] == 2
-
-    def test_fork_policy_flag(self, capsys):
-        base = ["optimize", "--algorithm", "TBNmcA", "--topology", "clique",
-                "--n", "7", "--json"]
-        serial = self._cost_of(capsys, base)
-        subtree = self._cost_of(
-            capsys, base + ["--algorithm", "TBNmcA@2", "--fork-policy", "subtree"]
-        )
-        assert subtree["cost"] == serial["cost"]
-        assert subtree["parallel"]["policy"] == "subtree"
-
-    def test_worker_trace_dir(self, tmp_path, capsys):
-        payload = self._cost_of(
-            capsys,
-            ["optimize", "--topology", "chain", "--n", "6", "--json",
-             "--algorithm", "TBNmc@2", "--worker-trace-dir", str(tmp_path)],
-        )
-        traces = payload["parallel"]["worker_traces"]
-        assert len(traces) == 2
-        for trace in traces:
-            assert (tmp_path / trace.split("/")[-1]).exists()
-
-
 class TestMemoCli:
     """``%policy`` memo names, --memo-profile and the profile-memo subcommand."""
 
@@ -440,7 +392,8 @@ class TestAlgorithmErrors:
         "command", ["optimize", "trace", "profile", "explain", "profile-memo", "run"]
     )
     @pytest.mark.parametrize(
-        "algorithm", ["TBNmc^0", "TBNmc%bogus", "BBNccp?10n", "TBNmc?1n^3", "XXNmc"]
+        "algorithm",
+        ["TBNmc^0", "TBNmc%bogus", "BBNccp?10n", "TBNmc?1n^3", "XXNmc", "TBNmc@2"],
     )
     def test_bad_algorithm_exits_2(self, capsys, tmp_path, command, algorithm):
         argv = [command, "--algorithm", algorithm, "--n", "4"]
@@ -457,11 +410,11 @@ class TestAlgorithmErrors:
 
     def test_incompatible_runtime_flag_exits_2(self, capsys, tmp_path):
         code = main([
-            "optimize", "--algorithm", "TBNmc@2", "--n", "4",
+            "optimize", "--algorithm", "BBNccp", "--n", "4",
             "--profile-out", str(tmp_path / "p.json"),
         ])
         assert code == 2
-        assert "serial top-down" in capsys.readouterr().err
+        assert "requires a top-down algorithm" in capsys.readouterr().err
 
     def test_removed_flags_are_gone(self):
         for flag in ("--workers", "--memo-policy", "--memo-capacity",

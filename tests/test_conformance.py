@@ -97,7 +97,6 @@ class TestInvariants:
             "left-deep-with-cp",
         }
         flat = [name for group in matrix.values() for name in group]
-        assert any("@" in name for name in flat)  # parallel workers
         assert any("%cost" in name for name in flat)  # memo policies
         assert any(name.endswith("AP") for name in flat)  # both boundings
 

@@ -59,7 +59,6 @@ MATRIX_TOP_DOWN = (
     "TBNmcA",
     "TBNmcP",
     "TBNmcAP",
-    "TBNmc@2",
     "TBNmc%cost:24",
     "TBNmc%profile:24",
     "TBNmc%lru:24:24",
@@ -149,10 +148,6 @@ def _cases(query_id: str) -> Iterator[tuple[str, str, str, str]]:
     """``(key, cost model, kind, algorithm)`` recorded for one query."""
     for model_name in COST_MODELS:
         for kind, name in CONFIGURATIONS:
-            # Worker processes cost a fork each: run the parallel
-            # configuration on the corpus probes only.
-            if "@" in name and query_id.startswith("table2"):
-                continue
             yield f"{query_id}|{model_name}|{kind}|{name}", model_name, kind, name
 
 

@@ -74,7 +74,7 @@ class TestUnseededRandom:
 
 
 class TestSetIterationOrder:
-    IN_SCOPE = "repro.parallel.worker"
+    IN_SCOPE = "repro.cache.policies"
 
     def test_flags_for_over_set_literal(self):
         found = findings("for x in {1, 2}:\n    x\n", module=self.IN_SCOPE)
@@ -323,8 +323,8 @@ class TestImportLayering:
     def test_lazy_upward_import_is_warning(self):
         source = """\
         def build():
-            from repro.parallel.scheduler import ParallelEnumerator
-            return ParallelEnumerator
+            from repro.serve.dispatch import Dispatcher
+            return Dispatcher
         """
         found = findings(source, module="repro.registry")
         assert [f.rule for f in found] == ["import-layering"]
@@ -339,7 +339,7 @@ class TestImportLayering:
         assert LAYERS["repro.core"] == 0
         assert LAYERS["repro.core"] < LAYERS["repro.partition"]
         assert LAYERS["repro.partition"] < LAYERS["repro.enumerator"]
-        assert LAYERS["repro.enumerator"] < LAYERS["repro.parallel"]
+        assert LAYERS["repro.enumerator"] < LAYERS["repro.registry"]
         assert LAYERS["repro.conformance"] < LAYERS["repro.cli"]
 
 

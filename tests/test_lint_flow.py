@@ -463,7 +463,7 @@ class TestLockDiscipline:
         assert "flow-guard-inconsistent" in rules
 
     def test_get_lock_style_with_is_recognized(self):
-        # SharedBound-style: with self._value.get_lock(): ...
+        # multiprocessing.Value-style: with self._value.get_lock(): ...
         assert (
             flow_rules_hit(
                 {

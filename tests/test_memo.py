@@ -168,86 +168,6 @@ class TestGlobalPlanCache:
         assert key1 == key2
 
 
-class TestWireExportImport:
-    """Round-trips of the parallel wire format (export/import_entries)."""
-
-    def test_plan_round_trip(self, query):
-        memo = MemoTable()
-        memo.store_plan(query, 1, None, scan(query, 0))
-        memo.store_plan(query, 2, 1, scan(query, 1))
-        entries = memo.export_entries()
-        other = MemoTable()
-        assert other.import_entries(query, entries) == 2
-        for subset, order in ((1, None), (2, 1)):
-            entry = other.get(query, subset, order)
-            restored = other.plan_for_query(query, entry)
-            original = memo.plan_for_query(query, memo.get(query, subset, order))
-            assert restored == original
-
-    def test_lower_bound_round_trip(self, query):
-        memo = MemoTable()
-        memo.store_lower_bound(query, 3, None, 12.5)
-        other = MemoTable()
-        other.import_entries(query, memo.export_entries())
-        entry = other.get(query, 3, None)
-        assert not entry.has_plan
-        assert entry.lower_bound == 12.5
-
-    def test_exclude_skips_already_sent_keys(self, query):
-        memo = MemoTable()
-        memo.store_plan(query, 1, None, scan(query, 0))
-        memo.store_plan(query, 2, None, scan(query, 1))
-        sent = {memo.key_for(query, 1, None)}
-        entries = memo.export_entries(exclude=sent)
-        assert [(s, o) for s, o, _, _ in entries] == [(2, None)]
-
-    def test_existing_plan_wins_on_conflict(self, query):
-        memo = MemoTable()
-        first = scan(query, 0)
-        memo.store_plan(query, 1, None, first)
-        # Import a lower-bound entry and a duplicate plan for the same key:
-        # neither may displace the stored plan (first-plan-wins policy).
-        imported = memo.import_entries(
-            query, [(1, None, None, 99.0), (1, None, first.to_wire(), None)]
-        )
-        assert imported == 0
-        entry = memo.get(query, 1, None)
-        assert entry.has_plan
-        assert memo.plan_for_query(query, entry) == first
-
-    def test_bound_import_keeps_maximum(self, query):
-        memo = MemoTable()
-        memo.store_lower_bound(query, 3, None, 10.0)
-        memo.import_entries(query, [(3, None, None, 5.0)])
-        assert memo.get(query, 3, None).lower_bound == 10.0
-        memo.import_entries(query, [(3, None, None, 20.0)])
-        assert memo.get(query, 3, None).lower_bound == 20.0
-
-    def test_eviction_then_reimport_round_trip(self, query):
-        # A capacity-bounded memo evicts cells; exporting before eviction
-        # and importing after must restore the evicted entries.
-        memo = MemoTable(capacity=2, policy="lru")
-        memo.store_plan(query, 1, None, scan(query, 0))
-        exported = memo.export_entries()
-        memo.store_plan(query, 2, None, scan(query, 1))
-        memo.store_plan(query, 4, None, scan(query, 2))  # evicts subset 1
-        assert memo.get(query, 1, None) is None
-        restored = memo.import_entries(query, exported)
-        assert restored == 1
-        assert memo.get(query, 1, None).has_plan
-
-    def test_export_keys_in_insertion_order(self, query):
-        memo = MemoTable()
-        memo.store_plan(query, 2, None, scan(query, 1))
-        memo.store_plan(query, 1, None, scan(query, 0))
-        assert [s for s, _, _, _ in memo.export_entries()] == [2, 1]
-
-    def test_global_cache_rejects_export(self):
-        cache = GlobalPlanCache()
-        with pytest.raises(TypeError):
-            cache.export_entries()
-
-
 def _frontier():
     """A one-candidate frontier in the I/O model's layout."""
     return Frontier([1], array("d", [0.0, 4.0, 4.0, 6.0, 8.0]))
@@ -279,17 +199,6 @@ class TestFrontierCells:
         memo.store_lower_bound(query, 1, None, 12.5, frontier=_frontier())
         memo.store_plan(query, 1, None, scan(query, 0))
         assert memo.get(query, 1, None).frontier is None
-
-    def test_export_round_trip_drops_frontier(self, query):
-        memo = MemoTable()
-        memo.store_lower_bound(query, 3, None, 12.5, frontier=_frontier())
-        entries = memo.export_entries()
-        assert entries == [(3, None, None, 12.5)]
-        other = MemoTable()
-        other.import_entries(query, entries)
-        entry = other.get(query, 3, None)
-        assert entry.lower_bound == 12.5
-        assert entry.frontier is None
 
     def test_cold_demotion_round_trip_drops_frontier(self, query):
         memo = MemoTable(capacity=1, cold_capacity=None)

@@ -31,10 +31,9 @@ class _GetBestMemo(MemoTable):
     so the enumerator sends every child lookup through ``_get_best``."""
 
 
-#: Serial, unbounded-memo top-down configurations of the conformance
-#: matrix (bounded ``%policy`` memos never take the inline read, and
-#: ``@N`` runs search in worker processes), plus an Algorithm 7 run
-#: that its node budget interrupts mid-scan.
+#: Unbounded-memo top-down configurations of the conformance matrix
+#: (bounded ``%policy`` memos never take the inline read), plus an
+#: Algorithm 7 run that its node budget interrupts mid-scan.
 NAMES = tuple(
     dict.fromkeys(
         name
@@ -42,7 +41,6 @@ NAMES = tuple(
         for name in group
         if OptimizerConfig.parse(name).spec.top_down
         and "%" not in name
-        and "@" not in name
     )
 ) + ("TBNmcAP?200n",)
 

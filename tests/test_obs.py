@@ -436,14 +436,14 @@ class TestMetricsMerge:
         assert parent.partitions_emitted == expected_partitions
         assert parent.join_operators_costed == 2 * expected_partitions
 
-    def test_merge_accumulates_parallel_counters(self):
+    def test_merge_accumulates_anytime_counters(self):
         a, b = Metrics(), Metrics()
-        a.parallel_tasks = 3
-        b.parallel_tasks = 4
-        b.parallel_entries_merged = 6
+        a.anytime_nodes_spent = 3
+        b.anytime_nodes_spent = 4
+        b.anytime_interrupts = 6
         a.merge(b)
-        assert a.parallel_tasks == 7
-        assert a.parallel_entries_merged == 6
+        assert a.anytime_nodes_spent == 7
+        assert a.anytime_interrupts == 6
 
 
 class TestRegistryMerge:

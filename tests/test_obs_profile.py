@@ -3,7 +3,7 @@
 Covers the NULL-object zero-overhead contract, the exclusive-time frame
 arithmetic, the kernel taxonomy an instrumented enumerator produces, the
 determinism guarantees, and the registry's guard against profiling
-configurations the frame stack cannot attribute (parallel / bottom-up).
+configurations the frame stack cannot attribute (bottom-up).
 """
 
 import pytest
@@ -177,12 +177,7 @@ class TestInstrumentedRun:
 
 
 class TestRegistryGuards:
-    def test_profiler_with_workers_rejected(self):
-        query = weighted_query(clique(6), 1)
-        with pytest.raises(ValueError, match="serial top-down"):
-            make_optimizer("TBNmc@2", query, profiler=RecordingProfiler())
-
     def test_profiler_with_bottom_up_rejected(self):
         query = weighted_query(clique(6), 1)
-        with pytest.raises(ValueError, match="serial top-down"):
+        with pytest.raises(ValueError, match="requires a top-down algorithm"):
             make_optimizer("BBNccp", query, profiler=RecordingProfiler())

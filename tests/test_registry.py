@@ -139,12 +139,14 @@ class TestMemoSpecParsing:
         memo = OptimizerConfig.parse("TBNmc%profile:64:32").memo
         assert memo == MemoSpec(policy="profile", capacity=64, cold_capacity=32)
 
-    def test_workers_suffix_in_either_order(self):
+    def test_suffixes_in_either_order(self):
         expected = OptimizerConfig(
-            parse_name("TBNmc"), workers=2, memo=MemoSpec("cost", 64)
+            parse_name("TBNmc"),
+            memo=MemoSpec("cost", 64),
+            budget=Budget.nodes(250),
         )
-        assert OptimizerConfig.parse("TBNmc@2%cost:64") == expected
-        assert OptimizerConfig.parse("TBNmc%cost:64@2") == expected
+        assert OptimizerConfig.parse("TBNmc%cost:64?250n") == expected
+        assert OptimizerConfig.parse("TBNmc?250n%cost:64") == expected
 
     def test_policy_is_case_insensitive(self):
         assert OptimizerConfig.parse("TBNmc%COST:8").memo.policy == "cost"
@@ -164,8 +166,8 @@ class TestMemoSpecParsing:
     def test_alias_resolution_preserves_spec(self):
         parse = OptimizerConfig.parse
         assert parse("mincutlazy%cost:64") == parse("TBNmc%cost:64")
-        assert parse("mincutlazy%cost:64:32@2").memo == MemoSpec("cost", 64, 32)
-        assert parse("parallel%lru:8").workers == 4
+        assert parse("mincutlazy%cost:64:32^2").memo == MemoSpec("cost", 64, 32)
+        assert parse("mincut%lru:8?5n").budget == Budget.nodes(5)
 
     def test_parse_name_ignores_spec(self):
         assert OptimizerConfig.parse("TBNmc%cost:64").spec.name == "TBNmc"
@@ -222,7 +224,7 @@ class TestMemoConstruction:
     def test_spec_runs_optimally(self):
         query = weighted_query(chain(6), 3)
         best = make_optimizer("TBNmc", query).optimize()
-        plan = make_optimizer("TBNmc%cost:8:4@2", query).optimize()
+        plan = make_optimizer("TBNmc%cost:8:4", query).optimize()
         assert plan.cost == best.cost
 
 
@@ -236,22 +238,20 @@ CANONICAL_NAMES = [
     ("TBNmc%COST:8", "TBNmc%cost:8"),
     ("TBNmc%profile:64:32", "TBNmc%profile:64:32"),
     ("TBNmc%cost:64:0", "TBNmc%cost:64"),
-    ("TBNmc@2%cost:64", "TBNmc@2%cost:64"),
-    ("TBNmc%cost:64@2", "TBNmc@2%cost:64"),
-    ("TBNmc@4", "TBNmc@4"),
+    ("TBNmc%cost:64?250ms", "TBNmc%cost:64?250ms"),
+    ("TBNmc?250ms%cost:64", "TBNmc%cost:64?250ms"),
+    ("TBNmc^4%lru", "TBNmc%lru^4"),
     ("mincutlazy%cost:64", "TBNmc%cost:64"),
-    ("mincutlazy%cost:64:32@2", "TBNmc@2%cost:64:32"),
-    ("parallel%lru:8", "TBNmc@4%lru:8"),
-    ("mincutlazy@2", "TBNmc@2"),
-    ("parallel", "TBNmc@4"),
-    ("parallel@2", "TBNmc@2"),
-    ("TLNmcAP@8", "TLNmcAP@8"),
-    ("mincutlazy?100n@2", "TBNmc@2?100n"),
+    ("mincutlazy%cost:64:32^2", "TBNmc%cost:64:32^2"),
+    ("mincut%lru:8", "TBNmc%lru:8"),
+    ("mincutlazy^2", "TBNmc^2"),
+    ("TLNmcAP%smallest:8", "TLNmcAP%smallest:8"),
+    ("mincutlazy?100n%lru", "TBNmc%lru?100n"),
     ("TBNmc^3", "TBNmc^3"),
     ("TBNmc?250ms:5000n", "TBNmc?250ms:5000n"),
     ("TBNmc?5000n:250ms", "TBNmc?250ms:5000n"),
     ("TBNmcAP?2.5ms", "TBNmcAP?2.5ms"),
-    ("TBNmc?250ms%cost:64@2", "TBNmc@2%cost:64?250ms"),
+    ("TBNmc^2%cost:64:16", "TBNmc%cost:64:16^2"),
     ("mincutlazy", "TBNmc"),
     ("mincut-lazy", "TBNmc"),
     ("MinCutOptimistic", "TBNmcopt"),
@@ -287,18 +287,17 @@ def _configs():
         ),
     )
 
-    def build(name, workers, memo, budget, top_k):
+    def build(name, memo, budget, top_k):
         spec = parse_name(name)
         if not spec.top_down:
             return OptimizerConfig(spec)
         if top_k is not None:
-            workers = budget = None
-        return OptimizerConfig(spec, workers, memo, budget, top_k)
+            budget = None
+        return OptimizerConfig(spec, memo, budget, top_k)
 
     return st.builds(
         build,
         names,
-        st.none() | st.integers(1, 64),
         memos,
         budgets,
         st.none() | st.integers(1, 16),
@@ -318,36 +317,39 @@ class TestConfigRoundTrip:
         text = str(config)
         assert OptimizerConfig.parse(text) == config
         base = config.spec.name
-        suffixes = re.findall(r"[@%?^][^@%?^]*", text[len(base):])
+        suffixes = re.findall(r"[%?^][^%?^]*", text[len(base):])
         shuffled = data.draw(st.permutations(suffixes))
         assert OptimizerConfig.parse(base + "".join(shuffled)) == config
 
     @pytest.mark.parametrize(
         "bad",
         [
-            "TBNmc@zero",     # non-integer worker count
-            "TBNmc@0",        # no workers
-            "TBNmc@2@3",      # duplicate suffix
+            "TBNmc^zero",     # non-integer rank
+            "TBNmc^2^3",      # duplicate suffix
             "TBNmc^0",        # empty ranking
             "TBNmc?",         # empty budget
             "TBNmc?1n^3",     # a budget truncates, ranking is exhaustive
-            "TBNmc@2^3",      # ranking is serial-only
             "BBNccp?10n",     # budgets need top-down search
             "BBNccp^2",       # so does ranking
             "BBNccp%lru:8",   # and memo policies
-            "dpccp@2",        # and workers
+            "dpccp%lru:8",    # also through an alias
         ],
     )
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
             OptimizerConfig.parse(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["TBNmc@2", "parallel", "mincutlazy@2", "TBNmc@2%cost:64"]
+    )
+    def test_no_parallel_names(self, bad):
+        with pytest.raises(ValueError, match="unrecognized algorithm name"):
+            OptimizerConfig.parse(bad)
+
     def test_constructor_checks_the_same_rules(self):
         spec = parse_name("TBNmc")
         with pytest.raises(ValueError, match="exhaustively"):
             OptimizerConfig(spec, budget=Budget.nodes(1), top_k=3)
-        with pytest.raises(ValueError, match="serial-only"):
-            OptimizerConfig(spec, workers=2, top_k=3)
         with pytest.raises(ValueError, match="top-down"):
             OptimizerConfig(parse_name("BBNccp"), memo=MemoSpec("lru"))
 

@@ -122,8 +122,8 @@ class TestProtocol:
         assert cache_key(by_text) == cache_key(by_graph)
 
     def test_serial_base_strips_execution_suffixes(self):
-        request = build_request({"algorithm": "TBNmc@4", "query": DSL})
-        assert str(request.config) == "TBNmc@4"
+        request = build_request({"algorithm": "TBNmc%cost:64", "query": DSL})
+        assert str(request.config) == "TBNmc%cost:64"
         assert request.config.spec.name == "TBNmc"
         bounded = build_request({"algorithm": "TBNmc%lru:64", "query": DSL})
         assert bounded.config.spec.name == "TBNmc"
@@ -376,12 +376,27 @@ class TestPlanServerE2E:
         async def scenario(server):
             return await asyncio.gather(*(
                 server.handle_payload({"id": name, "algorithm": name, "query": DSL})
-                for name in ("TBNmc@2^3", "BBNccp?5n", "TBNmc?1n^3")
+                for name in ("TBNmc^0", "BBNccp?5n", "TBNmc?1n^3")
             ))
 
         for response in _serve(scenario):
             assert response["status"] == "error"
             assert "message" in response["error"]
+
+    def test_parallel_name_is_an_error_and_leaks_no_slot(self):
+        async def scenario(server):
+            bad = await server.handle_payload(
+                {"id": 1, "algorithm": "TBNmc@4", "query": DSL}
+            )
+            inflight = server.admission.inflight
+            good = await server.handle_payload({"id": 2, "query": DSL})
+            return bad, inflight, good
+
+        bad, inflight, good = _serve(scenario, max_inflight=1)
+        assert bad["status"] == "error"
+        assert "unrecognized algorithm name" in bad["error"]["message"]
+        assert inflight == 0
+        assert good["status"] == "ok"
 
     def test_quota_rejection(self):
         async def scenario(server):
