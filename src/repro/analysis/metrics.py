@@ -14,9 +14,13 @@ from dataclasses import dataclass, field, fields
 __all__ = ["Metrics"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Metrics:
-    """Counters accumulated during one optimization / partitioning run."""
+    """Counters accumulated during one optimization / partitioning run.
+
+    Slotted, so a misspelled counter write (``metrics.memo_evictons += 1``)
+    raises ``AttributeError`` instead of creating a hidden attribute.
+    """
 
     #: Ordered partitions emitted by the Partition function.  Counts work
     #: actually done: a replayed candidate frontier emits nothing.

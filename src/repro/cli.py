@@ -667,7 +667,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         lint_paths,
         render_json,
         render_rules,
-        render_sarif,
         render_text,
     )
 
@@ -678,48 +677,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: no paths given (try: repro lint src/)", file=sys.stderr)
         return 2
     missing = [path for path in args.paths if not os.path.exists(path)]
-    if args.program_root:
-        missing += [p for p in args.program_root if not os.path.exists(p)]
     if missing:
         print(f"lint: no such path(s): {missing}", file=sys.stderr)
         return 2
-    if args.call_graph:
-        from repro.lint.engine import (
-            ModuleSource,
-            iter_python_files,
-            module_name_for,
-        )
-        from repro.lint.flow import FlowProgram, render_call_graph
-
-        roots = list(args.program_root or []) + list(args.paths)
-        modules = []
-        for file_path in iter_python_files(roots):
-            with open(file_path, encoding="utf-8") as handle:
-                source = handle.read()
-            try:
-                modules.append(
-                    ModuleSource.parse(
-                        source,
-                        path=file_path,
-                        module=module_name_for(file_path),
-                    )
-                )
-            except SyntaxError as exc:
-                print(
-                    f"lint: cannot parse {file_path}: {exc}", file=sys.stderr
-                )
-                return 2
-        print(render_call_graph(FlowProgram.build(modules)))
-        return 0
     select = _split_rule_list(args.select)
     ignore = _split_rule_list(args.ignore)
     try:
-        report = lint_paths(
-            args.paths,
-            select=select,
-            ignore=ignore,
-            program_paths=args.program_root or None,
-        )
+        report = lint_paths(args.paths, select=select, ignore=ignore)
     except ValueError as exc:  # unknown rule in --select/--ignore
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -728,8 +692,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     if args.format == "json":
         print(render_json(report))
-    elif args.format == "sarif":
-        print(render_sarif(report, ALL_RULES))
     else:
         print(render_text(report))
     return report.exit_code
@@ -1056,8 +1018,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (e.g. src/)",
     )
     lint.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
-        help="report format (json/sarif are what CI archives)",
+        "--format", default="text", choices=["text", "json"],
+        help="report format (json is what CI archives)",
     )
     lint.add_argument(
         "--select", action="append", metavar="RULE[,RULE...]",
@@ -1071,15 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--call-graph", action="store_true",
-        help="dump the whole-program call graph instead of linting",
-    )
-    lint.add_argument(
-        "--program-root", action="append", metavar="PATH",
-        help="build the whole-program flow analysis from PATH(s) while "
-        "reporting only on the linted paths (pre-commit fast path)",
     )
 
     serve = sub.add_parser(

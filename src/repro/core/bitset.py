@@ -48,8 +48,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def set_of(mask: int) -> frozenset[int]:
     """Return the members of ``mask`` as a frozenset of indices."""
-    # lint: disable=bitset-materialization -- this *is* the sanctioned
-    # mask -> set boundary; everything else should call it, not inline it.
+    # This *is* the sanctioned mask -> set boundary; everything else
+    # should call it, not inline it.
     return frozenset(iter_bits(mask))
 
 

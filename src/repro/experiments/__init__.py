@@ -49,9 +49,9 @@ from repro.experiments.table2 import run_table2
 
 def run_optimality(scale: str = "small"):
     """§3 optimality sweep (lazy import: conformance uses this package)."""
-    # lint: disable=import-layering -- documented inversion: the sweep is
-    # *implemented* in conformance (it gates the §3 invariant) but is also
-    # an experiment id; lazy keeps import time acyclic.
+    # The sweep is *implemented* in conformance (it gates the §3
+    # invariant) but is also an experiment id; lazy keeps import time
+    # acyclic.
     from repro.conformance.optimality import run_optimality_experiment
 
     return run_optimality_experiment(scale)

@@ -1,24 +1,19 @@
 """``repro.lint`` — repo-aware static analysis for the reproduction.
 
-The conformance subsystem (PR 4) verifies the paper's invariants
-*dynamically*; this package enforces the implementation disciplines those
-invariants rest on *statically*, at review time:
+The conformance subsystem verifies the paper's invariants *dynamically*;
+this package keeps the rules a replay of the repository history showed
+catching real defects:
 
-* **determinism** — seeded randomness only, no set iteration feeding
-  ordering-sensitive sinks, no identity-based sort keys;
-* **bitset discipline** — the Section 3.1 bitmap model stays bitwise in
-  ``core``/``partition`` (no set materialization, no string popcounts,
-  no per-index bit probing where ``iter_bits`` exists);
-* **hot-path purity** — instrumentation payloads stay behind tracer
-  guards in ``enumerator``/``partition``;
-* **metrics discipline** — counter fields and instrument names must be
-  declared (cross-checked by introspecting the live modules);
-* **import layering** — the package DAG ``core → partition → enumerator
-  → registry → conformance → cli`` admits no upward imports.
+* **bitset discipline** — ``per-bit-loop``: no per-index ``range(n)``
+  probing of a mask where ``iter_bits`` visits only the members (the
+  Section 3.1 bitmap model);
+* **lock discipline** — ``flow-unguarded-read`` / ``flow-unguarded-write``:
+  an attribute of a lock-owning class that is accessed under its lock
+  somewhere must be accessed under it everywhere.
 
 Entry points: ``repro lint`` on the CLI, :func:`lint_paths` /
 :func:`lint_source` from code and tests.  See ``docs/static-analysis.md``
-for the rule catalog and the pragma syntax.
+for the rule catalog, the replay, and the pragma syntax.
 """
 
 from __future__ import annotations
@@ -37,27 +32,14 @@ from repro.lint.engine import (
 )
 from repro.lint.engine import lint_paths as _lint_paths
 from repro.lint.engine import lint_source as _lint_source
-from repro.lint.flow import FlowProgram, render_call_graph
-from repro.lint.reporters import (
-    render_json,
-    render_rules,
-    render_sarif,
-    render_text,
-)
-from repro.lint.rules import (
-    ALL_RULES,
-    FLOW_RULES,
-    LAYERS,
-    SYNTACTIC_RULES,
-    rule_by_name,
-)
+from repro.lint.flow import FlowProgram
+from repro.lint.reporters import render_json, render_rules, render_text
+from repro.lint.rules import ALL_RULES, FLOW_RULES, rule_by_name
 
 __all__ = [
     "ALL_RULES",
     "ERROR",
     "FLOW_RULES",
-    "LAYERS",
-    "SYNTACTIC_RULES",
     "WARNING",
     "Finding",
     "FlowProgram",
@@ -68,10 +50,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "module_name_for",
-    "render_call_graph",
     "render_json",
     "render_rules",
-    "render_sarif",
     "render_text",
     "rule_by_name",
 ]
@@ -83,12 +63,11 @@ def lint_paths(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     rules: Sequence[Rule] | None = None,
-    program_paths: Sequence[str] | None = None,
 ) -> LintReport:
     """Lint files/directories with the built-in rules (or ``rules``)."""
     return _lint_paths(
         paths, rules if rules is not None else ALL_RULES,
-        select=select, ignore=ignore, program_paths=program_paths,
+        select=select, ignore=ignore,
     )
 
 

@@ -1,24 +1,20 @@
 """AST-based lint engine: rule protocol, pragmas, and the file runner.
 
-The engine is deliberately repo-aware rather than general-purpose: rules
-encode the invariants this reproduction's correctness rests on (seeded
-randomness, bitmap discipline in the Section 3.1 hot paths, tracer-guarded
-instrumentation, the package layering DAG) and the conformance subsystem
-verifies *dynamically*.  A rule is a small object that inspects one parsed
-module and yields :class:`Finding`\\ s; the engine handles everything
-around that — file discovery, module-name derivation, pragma suppression,
-rule selection, and severity-based exit status.
+The engine is deliberately repo-aware rather than general-purpose: a
+rule is a small object that inspects one parsed module and yields
+:class:`Finding`\\ s; the engine handles everything around that — file
+discovery, module-name derivation, pragma suppression, rule selection,
+and severity-based exit status.
 
 Pragma syntax (see ``docs/static-analysis.md``)::
 
-    x = set(items)            # lint: disable=set-iteration-order  -- why
-    # lint: disable-file=import-layering  -- module-wide waiver + reason
+    return self._count  # lint: disable=flow-unguarded-read  -- why
 
 A trailing line pragma suppresses the named rules on that physical line.
 A ``disable`` pragma on a comment-only line attaches to the next code
 line instead (so multi-line justification blocks can sit above the code
-they waive).  ``disable-file`` suppresses for the whole module.
-Suppressions must name rules explicitly — there is no bare ``disable``.
+they waive).  Suppressions must name rules explicitly — there is no bare
+``disable`` and no module-wide form.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ERROR",
@@ -49,9 +45,9 @@ __all__ = [
 ERROR = "error"
 WARNING = "warning"
 
-#: ``# lint: disable=rule-a,rule-b`` with an optional trailing reason.
+#: A ``lint: disable=rule-a,rule-b`` comment, optionally followed by a reason.
 _PRAGMA_RE = re.compile(
-    r"#\s*lint:\s*(?P<kind>disable|disable-file)\s*=\s*"
+    r"#\s*lint:\s*disable\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)"
 )
 
@@ -91,22 +87,18 @@ class Pragmas:
     """Suppressions parsed from a module's comments."""
 
     by_line: dict[int, frozenset[str]] = field(default_factory=dict)
-    file_wide: frozenset[str] = frozenset()
 
     def suppresses(self, rule: str, line: int) -> bool:
-        if rule in self.file_wide:
-            return True
         return rule in self.by_line.get(line, frozenset())
 
 
 def parse_pragmas(source: str) -> Pragmas:
-    """Extract ``# lint: disable[-file]=...`` pragmas via the tokenizer.
+    """Extract ``# lint: disable=...`` pragmas via the tokenizer.
 
     Using :mod:`tokenize` (not a regex over raw lines) means pragmas inside
     string literals are never misread as suppressions.
     """
     by_line: dict[int, set[str]] = {}
-    file_wide: set[str] = set()
     lines = source.splitlines()
     standalone: list[tuple[int, set[str]]] = []
     try:
@@ -122,9 +114,6 @@ def parse_pragmas(source: str) -> Pragmas:
                 for name in match.group("rules").split(",")
                 if name.strip()
             }
-            if match.group("kind") == "disable-file":
-                file_wide |= rules
-                continue
             line, col = token.start
             if not lines[line - 1][:col].strip():
                 standalone.append((line, rules))  # comment-only line
@@ -143,8 +132,7 @@ def parse_pragmas(source: str) -> Pragmas:
                 break
         by_line.setdefault(target, set()).update(rules)
     return Pragmas(
-        by_line={line: frozenset(rules) for line, rules in by_line.items()},
-        file_wide=frozenset(file_wide),
+        by_line={line: frozenset(rules) for line, rules in by_line.items()}
     )
 
 
@@ -298,17 +286,14 @@ def lint_modules(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    program_modules: Iterable[ModuleSource] | None = None,
 ) -> LintReport:
     """Run ``rules`` over parsed modules; the core of every entry point.
 
     Rules with ``needs_program = True`` (the whole-program flow rules)
-    get a prepare phase first: the full module list — ``program_modules``
-    when given (the ``--program-root`` fast path: analyze the whole
-    program, report only on ``modules``), else the modules being linted —
-    is handed to each such rule's ``prepare``, which returns the shared
-    program object so the index/call-graph/effect fixpoint is built once
-    per run rather than once per rule.
+    get a prepare phase first: the full module list is handed to each
+    such rule's ``prepare``, which returns the shared program object so
+    the index/call-graph/lock analysis is built once per run rather than
+    once per rule.
     """
     chosen = _select_rules(rules, select, ignore)
     report = LintReport(rules_run=tuple(rule.name for rule in chosen))
@@ -316,13 +301,9 @@ def lint_modules(
     program_rules = [
         rule for rule in chosen if getattr(rule, "needs_program", False)
     ]
-    if program_rules:
-        context = (
-            list(program_modules) if program_modules is not None else module_list
-        )
-        shared: object | None = None
-        for rule in program_rules:
-            shared = rule.prepare(context, shared)  # type: ignore[attr-defined]
+    shared: object | None = None
+    for rule in program_rules:
+        shared = rule.prepare(module_list, shared)  # type: ignore[attr-defined]
     for module in module_list:
         report.files_checked += 1
         for rule in chosen:
@@ -395,51 +376,18 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    on_parse_error: Callable[[str, SyntaxError], None] | None = None,
-    program_paths: Sequence[str] | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    ``program_paths`` widens the *analysis* context without widening the
-    *report*: the whole-program flow rules see every module under those
-    paths (plus the linted ones), while findings are still restricted to
-    ``paths`` — the pre-commit fast path lints only changed files against
-    the full program.
+    An unparseable file raises :class:`SyntaxError` naming it.
     """
 
-    def parse_all(targets: Iterable[str]) -> Iterator[ModuleSource]:
-        for file_path in iter_python_files(targets):
+    def parse_all() -> Iterator[ModuleSource]:
+        for file_path in iter_python_files(paths):
             with open(file_path, encoding="utf-8") as handle:
                 source = handle.read()
-            try:
-                yield ModuleSource.parse(
-                    source, path=file_path, module=module_name_for(file_path)
-                )
-            except SyntaxError as exc:
-                if on_parse_error is not None:
-                    on_parse_error(file_path, exc)
-                else:
-                    raise
+            yield ModuleSource.parse(
+                source, path=file_path, module=module_name_for(file_path)
+            )
 
-    program_modules: list[ModuleSource] | None = None
-    if program_paths is not None:
-        by_path = {m.path: m for m in parse_all(program_paths)}
-        for module in parse_all(paths):
-            by_path.setdefault(module.path, module)
-        program_modules = [by_path[key] for key in sorted(by_path)]
-        linted = {
-            os.path.normpath(p) for p in iter_python_files(paths)
-        }
-        modules: Iterable[ModuleSource] = [
-            m for m in program_modules if os.path.normpath(m.path) in linted
-        ]
-    else:
-        modules = parse_all(paths)
-
-    return lint_modules(
-        modules,
-        rules,
-        select=select,
-        ignore=ignore,
-        program_modules=program_modules,
-    )
+    return lint_modules(parse_all(), rules, select=select, ignore=ignore)

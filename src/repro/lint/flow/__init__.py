@@ -1,23 +1,20 @@
-"""``repro.lint.flow`` — whole-program analysis under the lint engine.
+"""``repro.lint.flow`` — whole-program lock-discipline analysis.
 
 Layers (each consuming the previous)::
 
-    ProgramIndex   modules, classes, functions, imports, globals
+    ProgramIndex   modules, classes, functions, imports
         │
-    CallGraph      conservative call/ref/spawn edges, <unknown> widening
-        │
-    EffectAnalysis direct effect extraction + transitive fixpoint
+    CallGraph      conservative call/ref edges with held-lock context
         │
     LockAnalysis   guarded-by facts, locked-context fixpoint, races
-    TaintAnalysis  seed provenance into RNG construction
 
-:class:`FlowProgram` bundles one build of all five for a module set;
+:class:`FlowProgram` bundles one build of all three for a module set;
 the :class:`~repro.lint.flow.rules.FlowRule` subclasses in
 :mod:`repro.lint.flow.rules` read it and emit ordinary
 :class:`~repro.lint.engine.Finding`\\ s, so the engine's pragma,
 selection, and reporting machinery applies unchanged.  See
-``docs/static-analysis.md`` for the architecture and the documented
-imprecision (unknown-callee widening, unknown-provenance seeds).
+``docs/static-analysis.md`` for the documented imprecision
+(unknown-callee widening).
 """
 
 from __future__ import annotations
@@ -27,11 +24,9 @@ from typing import Sequence
 
 from repro.lint.engine import ModuleSource
 from repro.lint.flow.callgraph import UNKNOWN, CallGraph, CallSite
-from repro.lint.flow.effects import Effect, EffectAnalysis, Witness
 from repro.lint.flow.index import ProgramIndex
 from repro.lint.flow.locks import AttrAccess, LockAnalysis
 from repro.lint.flow.rules import FLOW_RULES, FlowRule
-from repro.lint.flow.taint import Provenance, RngSite, TaintAnalysis
 
 __all__ = [
     "FLOW_RULES",
@@ -39,17 +34,10 @@ __all__ = [
     "AttrAccess",
     "CallGraph",
     "CallSite",
-    "Effect",
-    "EffectAnalysis",
     "FlowProgram",
     "FlowRule",
     "LockAnalysis",
     "ProgramIndex",
-    "Provenance",
-    "RngSite",
-    "TaintAnalysis",
-    "Witness",
-    "render_call_graph",
 ]
 
 
@@ -59,56 +47,10 @@ class FlowProgram:
 
     index: ProgramIndex
     graph: CallGraph
-    effects: EffectAnalysis
     locks: LockAnalysis
-    taint: TaintAnalysis
 
     @classmethod
     def build(cls, modules: Sequence[ModuleSource]) -> "FlowProgram":
         index = ProgramIndex(modules)
         graph = CallGraph.build(index)
-        effects = EffectAnalysis.build(index, graph)
-        locks = LockAnalysis.build(index, graph, effects)
-        taint = TaintAnalysis.build(index)
-        return cls(
-            index=index, graph=graph, effects=effects, locks=locks, taint=taint
-        )
-
-
-def render_call_graph(program: FlowProgram, *, include_unknown: bool = False) -> str:
-    """Debug dump for ``repro lint --call-graph``.
-
-    One line per caller with resolved callees, annotated with edge kind
-    (``ref``/``spawn``), held-lock and guard context, and the caller's
-    inferred transitive effect set.  Unknown-callee edges are summarized
-    as a count unless ``include_unknown`` asks for each site.
-    """
-    lines: list[str] = []
-    for caller in sorted(program.graph.edges):
-        sites = program.graph.callees(caller)
-        effects = sorted(e.value for e in program.effects.effects_of(caller))
-        suffix = f"  [{', '.join(effects)}]" if effects else ""
-        spawn_mark = " <spawned>" if caller in program.graph.spawned else ""
-        lines.append(f"{caller}{spawn_mark}{suffix}")
-        unknown = 0
-        for site in sites:
-            if site.callee == UNKNOWN and not include_unknown:
-                unknown += 1
-                continue
-            tags = []
-            if site.kind != "call":
-                tags.append(site.kind)
-            if site.guarded:
-                tags.append("guarded")
-            if site.locked:
-                tags.append(f"locked:{site.lock_name}")
-            tag = f" ({', '.join(tags)})" if tags else ""
-            lines.append(f"  -> {site.callee}  @{site.line}{tag}")
-        if unknown:
-            lines.append(f"  -> {UNKNOWN} x{unknown} (widened)")
-    lines.append(
-        f"call-graph: {len(program.graph.edges)} function(s), "
-        f"{sum(len(v) for v in program.graph.edges.values())} edge(s), "
-        f"{len(program.graph.spawned)} spawned entry point(s)"
-    )
-    return "\n".join(lines)
+        return cls(index=index, graph=graph, locks=LockAnalysis.build(index, graph))

@@ -1,28 +1,19 @@
 """Conservative call graph over the program index.
 
 One :class:`CallSite` per resolved (or deliberately widened) call
-expression, annotated with the lexical context the effect and lock
-analyses need:
+expression, and one per function reference passed as a call argument
+(``functools.partial(f, ...)``, a bound method handed to an executor or
+a thread): the callee *may* run, so the reference counts as one of its
+call sites.  Each site records whether it sits inside a
+``with <lock>:`` block, so a private method whose every call site is
+locked runs under the lock.
 
-* ``guarded`` — the call sits under an instrumentation-active guard
-  (``if tracer.enabled:`` / ``if self._tracing:`` / ``if profiling:``),
-  so unguarded-tracing effects do not propagate across it;
-* ``locked`` — the call sits inside a ``with <lock>:`` block (consumed
-  by the lock-discipline analysis for held-lock reachability);
-* ``kind`` — ``"call"`` for direct invocation, ``"ref"`` for a function
-  reference passed as a value (``functools.partial(f, ...)``, a bound
-  method handed to an executor: the callee *may* run, so effects must
-  propagate), and ``"spawn"`` for references handed to a thread/task
-  spawn primitive (``threading.Thread(target=...)``,
-  ``asyncio.to_thread``, ``Executor.submit``) — the roots of the
-  concurrent-reachability analysis.
-
-Resolution strategy (in order): local names → import aliases → ``self``
-method dispatch through indexed bases → constructor-typed locals and
-``self.attr`` receivers → everything else widens to a single
-``<unknown>`` node with *no* effects.  Widening to no-effect (rather
-than all-effects) keeps the pass usable — the trade-off is spelled out
-in ``docs/static-analysis.md``.
+Resolution strategy (in order): ``self`` method dispatch through
+indexed bases → ``self.attr`` receivers → ``super()`` →
+constructor-typed locals → local names and import aliases → everything
+else widens to a single ``<unknown>`` node, a call site of no indexed
+method (the precision this costs the lock analysis is spelled out in
+``docs/static-analysis.md``).
 """
 
 from __future__ import annotations
@@ -38,41 +29,10 @@ from repro.lint.flow.index import (
     dotted_name,
 )
 
-__all__ = ["CallGraph", "CallSite", "UNKNOWN", "is_guard_test", "is_lock_expression"]
+__all__ = ["CallGraph", "CallSite", "UNKNOWN", "is_lock_expression"]
 
 #: The widened callee for calls the resolver cannot pin down.
 UNKNOWN = "<unknown>"
-
-#: Spawn primitives whose callable argument becomes a concurrent entry
-#: point (thread context; multiprocessing targets get a fresh address
-#: space and are deliberately not treated as shared-state threats).
-_THREAD_SPAWNERS = frozenset(
-    {"to_thread", "run_in_executor", "submit", "Thread", "Timer", "call_soon_threadsafe"}
-)
-
-
-def is_guard_test(test: ast.expr) -> bool:
-    """True for conditions gating on tracing/profiling being active.
-
-    Mirrors the syntactic ``hotpath-purity`` guard detection so the
-    interprocedural upgrade agrees with the per-file rule about what
-    counts as a guard.
-    """
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and node.attr in {
-            "enabled",
-            "_tracing",
-            "_profiling",
-        }:
-            return True
-        if isinstance(node, ast.Name) and node.id in {
-            "tracing",
-            "measure",
-            "profiling",
-        }:
-            return True
-    return False
-
 
 def is_lock_expression(item: ast.expr) -> bool:
     """True when a ``with`` item looks like acquiring a lock.
@@ -95,23 +55,15 @@ class CallSite:
 
     caller: str
     callee: str  #: function qname, or :data:`UNKNOWN`
-    line: int
-    col: int
-    kind: str  #: "call" | "ref" | "spawn"
-    guarded: bool
     locked: bool
-    lock_name: Optional[str] = None  #: unparsed lock expression, if locked
-    display: str = ""  #: source-ish text of the callee for diagnostics
 
 
 @dataclass
 class CallGraph:
-    """Edges grouped by caller, plus the concurrent entry-point set."""
+    """Edges grouped by caller."""
 
     index: ProgramIndex
     edges: dict[str, list[CallSite]] = field(default_factory=dict)
-    #: Functions handed to thread-spawn primitives (concurrency roots).
-    spawned: set[str] = field(default_factory=set)
 
     def callees(self, caller: str) -> list[CallSite]:
         return self.edges.get(caller, [])
@@ -139,7 +91,6 @@ class _FunctionResolver:
         self.index = index
         self.graph = graph
         self.function = function
-        self.module = index.modules[function.module]
         self.cls: Optional[ClassInfo] = (
             index.classes.get(function.cls) if function.cls else None
         )
@@ -150,7 +101,7 @@ class _FunctionResolver:
     def run(self) -> None:
         self._infer_parameter_types()
         for statement in self.function.node.body:
-            self._walk(statement, guarded=False, locked=False, lock_name=None)
+            self._walk(statement, locked=False)
 
     def _infer_parameter_types(self) -> None:
         args = self.function.node.args
@@ -172,42 +123,19 @@ class _FunctionResolver:
 
     # -- recursive descent --------------------------------------------------------
 
-    def _walk(
-        self,
-        node: ast.AST,
-        *,
-        guarded: bool,
-        locked: bool,
-        lock_name: Optional[str],
-    ) -> None:
+    def _walk(self, node: ast.AST, *, locked: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # nested definitions get their own resolver pass
-        if isinstance(node, ast.If):
-            branch_guarded = guarded or is_guard_test(node.test)
-            self._scan_expression(node.test, guarded, locked, lock_name)
-            for child in node.body:
-                self._walk(
-                    child, guarded=branch_guarded, locked=locked, lock_name=lock_name
-                )
-            for child in node.orelse:
-                self._walk(child, guarded=guarded, locked=locked, lock_name=lock_name)
-            return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             body_locked = locked
-            body_lock = lock_name
             for item in node.items:
                 if is_lock_expression(item.context_expr):
                     body_locked = True
-                    body_lock = ast.unparse(item.context_expr)
                 else:
                     # Non-lock context managers still contain calls.
-                    self._scan_expression(
-                        item.context_expr, guarded, locked, lock_name
-                    )
+                    self._scan_expression(item.context_expr, locked)
             for child in node.body:
-                self._walk(
-                    child, guarded=guarded, locked=body_locked, lock_name=body_lock
-                )
+                self._walk(child, locked=body_locked)
             return
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             constructed = self._constructed_class(node.value)
@@ -216,24 +144,18 @@ class _FunctionResolver:
                     if isinstance(target, ast.Name):
                         self.local_types[target.id] = constructed
         if isinstance(node, ast.expr):
-            self._scan_expression(node, guarded, locked, lock_name)
+            self._scan_expression(node, locked)
             return
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self._scan_expression(child, guarded, locked, lock_name)
+                self._scan_expression(child, locked)
             else:
-                self._walk(child, guarded=guarded, locked=locked, lock_name=lock_name)
+                self._walk(child, locked=locked)
 
-    def _scan_expression(
-        self,
-        node: ast.expr,
-        guarded: bool,
-        locked: bool,
-        lock_name: Optional[str],
-    ) -> None:
+    def _scan_expression(self, node: ast.expr, locked: bool) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
-                self._resolve_call(sub, guarded, locked, lock_name)
+                self._resolve_call(sub, locked)
 
     # -- call resolution ----------------------------------------------------------
 
@@ -253,37 +175,14 @@ class _FunctionResolver:
                     return resolved_ret
         return None
 
-    def _resolve_call(
-        self,
-        call: ast.Call,
-        guarded: bool,
-        locked: bool,
-        lock_name: Optional[str],
-    ) -> None:
-        display = ast.unparse(call.func)
-        callee = self._resolve_callee(call.func)
-        spawner = self._spawner_name(call)
-        self._add_edge(call, callee, "call", guarded, locked, lock_name, display)
+    def _resolve_call(self, call: ast.Call, locked: bool) -> None:
+        self._add_edge(self._resolve_callee(call.func), locked)
         # Callable references in the arguments: conservatively assume
-        # the receiver may invoke them (``ref``), or — for spawn
-        # primitives — *will* invoke them concurrently (``spawn``).
+        # the receiver may invoke them.
         for value in list(call.args) + [kw.value for kw in call.keywords]:
             ref = self._resolve_reference(value)
-            if ref is None:
-                continue
-            kind = "spawn" if spawner else "ref"
-            self._add_edge(
-                call, ref, kind, guarded, locked, lock_name, ast.unparse(value)
-            )
-            if kind == "spawn":
-                self.graph.spawned.add(ref)
-
-    def _spawner_name(self, call: ast.Call) -> Optional[str]:
-        name = dotted_name(call.func)
-        if name is None:
-            return None
-        tail = name.split(".")[-1]
-        return tail if tail in _THREAD_SPAWNERS else None
+            if ref is not None:
+                self._add_edge(ref, locked)
 
     def _resolve_reference(self, value: ast.expr) -> Optional[str]:
         """A function/method qname when ``value`` references one (no call)."""
@@ -298,33 +197,39 @@ class _FunctionResolver:
         resolved = self._resolve_callee(value)
         return None if resolved == UNKNOWN else resolved
 
+    def _method_of(self, cls: Optional[ClassInfo], name: str) -> str:
+        method = None if cls is None else self.index.find_method(cls, name)
+        return UNKNOWN if method is None else method.qname
+
     def _resolve_callee(self, func: ast.expr) -> str:
-        # self.method() → dispatch through the owning class and bases.
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-            and self.cls is not None
-        ):
-            method = self.index.find_method(self.cls, func.attr)
-            if method is not None:
-                return method.qname
-            return UNKNOWN
-        # self.attr.method() → through the attribute's inferred type.
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Attribute)
-            and isinstance(func.value.value, ast.Name)
-            and func.value.value.id == "self"
-            and self.cls is not None
-        ):
-            attr_type = self.cls.attr_types.get(func.value.attr)
-            target_cls = self.index.lookup_class(attr_type)
-            if target_cls is not None:
-                method = self.index.find_method(target_cls, func.attr)
-                if method is not None:
-                    return method.qname
-            return UNKNOWN
+        """The indexed function ``func`` names, else :data:`UNKNOWN`."""
+        if isinstance(func, ast.Attribute) and self.cls is not None:
+            receiver = func.value
+            # self.method() → dispatch through the owning class and bases.
+            if isinstance(receiver, ast.Name) and receiver.id == "self":
+                return self._method_of(self.cls, func.attr)
+            # self.attr.method() → through the attribute's inferred type.
+            if (
+                isinstance(receiver, ast.Attribute)
+                and isinstance(receiver.value, ast.Name)
+                and receiver.value.id == "self"
+            ):
+                attr_type = self.cls.attr_types.get(receiver.attr)
+                return self._method_of(self.index.lookup_class(attr_type), func.attr)
+            # super().method() → the next indexed base's method.
+            if (
+                isinstance(receiver, ast.Call)
+                and isinstance(receiver.func, ast.Name)
+                and receiver.func.id == "super"
+            ):
+                for base in self.cls.bases:
+                    base_cls = self.index.lookup_class(
+                        self.index.resolve(self.cls.module, base)
+                    )
+                    qname = self._method_of(base_cls, func.attr)
+                    if qname != UNKNOWN:
+                        return qname
+                return UNKNOWN
         # var.method() → through the constructor-typed local.
         if (
             isinstance(func, ast.Attribute)
@@ -332,76 +237,21 @@ class _FunctionResolver:
             and func.value.id in self.local_types
         ):
             target_cls = self.index.lookup_class(self.local_types[func.value.id])
-            if target_cls is not None:
-                method = self.index.find_method(target_cls, func.attr)
-                if method is not None:
-                    return method.qname
-            return UNKNOWN
-        # super().method() → the next indexed base's method.
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Call)
-            and isinstance(func.value.func, ast.Name)
-            and func.value.func.id == "super"
-            and self.cls is not None
-        ):
-            owner = self.index.modules.get(self.cls.module)
-            for base in self.cls.bases:
-                resolved = (
-                    self.index._resolve_dotted(owner, base)
-                    if owner is not None
-                    else None
-                )
-                base_cls = self.index.lookup_class(resolved)
-                if base_cls is not None:
-                    method = self.index.find_method(base_cls, func.attr)
-                    if method is not None:
-                        return method.qname
-            return UNKNOWN
+            return self._method_of(target_cls, func.attr)
         # Plain / dotted names through imports and local definitions.
         name = dotted_name(func)
-        if name is None:
-            return UNKNOWN
-        resolved = self.index.resolve(self.function.module, name)
-        if resolved is None:
-            return name if self._is_external(name) else UNKNOWN
+        resolved = (
+            None if name is None else self.index.resolve(self.function.module, name)
+        )
         target = self.index.lookup_function(resolved)
         if target is not None:
             return target.qname
         cls = self.index.lookup_class(resolved)
         if cls is not None:
-            init = self.index.find_method(cls, "__init__")
-            return init.qname if init is not None else cls.qname
-        # Resolved through imports to something outside the program
-        # (stdlib, third-party): keep the absolute name — the effect
-        # layer pattern-matches on it (os.getenv, random.shuffle, ...).
-        return resolved
+            return self._method_of(cls, "__init__")
+        return UNKNOWN
 
-    @staticmethod
-    def _is_external(name: str) -> bool:
-        """Dotted names rooted at a known-external module stay as-is."""
-        return "." in name
-
-    def _add_edge(
-        self,
-        node: ast.AST,
-        callee: str,
-        kind: str,
-        guarded: bool,
-        locked: bool,
-        lock_name: Optional[str],
-        display: str,
-    ) -> None:
+    def _add_edge(self, callee: str, locked: bool) -> None:
         self.edges.append(
-            CallSite(
-                caller=self.function.qname,
-                callee=callee,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                kind=kind,
-                guarded=guarded,
-                locked=locked,
-                lock_name=lock_name if locked else None,
-                display=display,
-            )
+            CallSite(caller=self.function.qname, callee=callee, locked=locked)
         )

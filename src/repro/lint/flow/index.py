@@ -1,6 +1,6 @@
-"""Whole-program index: modules, classes, functions, imports, globals.
+"""Whole-program index: modules, classes, functions, imports.
 
-The per-file rules in :mod:`repro.lint.rules` see one ``ast.Module`` at a
+The per-file rule in :mod:`repro.lint.rules` sees one ``ast.Module`` at a
 time; everything in :mod:`repro.lint.flow` instead starts from this
 index, which is built once per lint run over *all* parsed modules and
 answers the questions cross-module analysis needs:
@@ -8,12 +8,11 @@ answers the questions cross-module analysis needs:
 * what function/class does a dotted name resolve to, given one module's
   import aliases (``resolve``);
 * what methods does a class have, including through indexed base classes
-  (``iter_methods``);
+  (``find_method``);
 * what type does ``self.attr`` have, when an ``__init__`` (or any
   method) assigns it from an indexed constructor or an annotated call
   (``ClassInfo.attr_types``);
-* which module-level names are mutable bindings (the shared-state
-  surface of :class:`~repro.lint.flow.effects` and the race detector).
+* which ``self`` attributes hold a lock (``ClassInfo.lock_attrs``).
 
 Resolution is deliberately *conservative name resolution*, not type
 inference: anything it cannot pin to an indexed definition stays
@@ -49,12 +48,6 @@ LOCK_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Mutable builtin constructors: a module-level name bound to one of
-#: these is shared mutable state when reached from concurrent code.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "OrderedDict", "defaultdict", "deque", "Counter"}
-)
-
 
 def dotted_name(node: ast.expr) -> Optional[str]:
     """Flatten ``a.b.c`` attribute chains to ``"a.b.c"`` (else ``None``)."""
@@ -78,10 +71,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     source: ModuleSource
     cls: Optional[str] = None  #: owning class qname, or None
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
     @property
     def is_private(self) -> bool:
@@ -127,10 +116,6 @@ class ModuleInfo:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level simple assignments: name → value expression.
-    globals_: dict[str, ast.expr] = field(default_factory=dict)
-    #: module-level names bound to mutable containers.
-    mutable_globals: set[str] = field(default_factory=set)
 
 
 class ProgramIndex:
@@ -165,17 +150,6 @@ class ProgramIndex:
                 cls = self._index_class(info, node, source)
                 info.classes[node.name] = cls
                 self.classes[cls.qname] = cls
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    info.globals_[target.id] = node.value
-                    if self._is_mutable_binding(node.value):
-                        info.mutable_globals.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    info.globals_[node.target.id] = node.value
-                    if self._is_mutable_binding(node.value):
-                        info.mutable_globals.add(node.target.id)
         return info
 
     @staticmethod
@@ -282,18 +256,6 @@ class ProgramIndex:
                         )
                         if resolved_ret is not None and resolved_ret in self.classes:
                             cls.attr_types.setdefault(attr, resolved_ret)
-
-    @staticmethod
-    def _is_mutable_binding(value: ast.expr) -> bool:
-        if isinstance(
-            value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-        ):
-            return True
-        if isinstance(value, ast.Call):
-            callee = dotted_name(value.func)
-            if callee is not None and callee.split(".")[-1] in _MUTABLE_CONSTRUCTORS:
-                return True
-        return False
 
     # -- resolution --------------------------------------------------------------
 

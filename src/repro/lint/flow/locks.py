@@ -16,12 +16,6 @@ whose every in-program call site already holds the lock are treated as
 *locked-context* (computed to a fixpoint), so the common
 ``_evict_one``-style split of a locked public method into private
 helpers does not generate noise.
-
-Also computed here, because they need the same held-lock context:
-
-* blocking (IO-effect) calls made while a lock is held;
-* writes to module-level mutable globals reachable from a thread-spawn
-  entry point (``asyncio.to_thread``, ``Thread(target=...)``, ...).
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from repro.lint.flow.callgraph import (
     CallSite,
     is_lock_expression,
 )
-from repro.lint.flow.effects import Effect, EffectAnalysis, Witness
 from repro.lint.flow.index import ClassInfo, FunctionInfo, ProgramIndex
 
 __all__ = ["AttrAccess", "LockAnalysis"]
@@ -73,21 +66,17 @@ _MUTATOR_METHODS = frozenset(
 class AttrAccess:
     """One read or write of ``self.<attr>`` inside a method body."""
 
-    cls: str  #: owning class qname
     attr: str
     method: str  #: method qname
     line: int
-    col: int
     kind: str  #: "read" | "write"
     locked: bool
-    lock_name: Optional[str]
 
 
 @dataclass
 class LockAnalysis:
     index: ProgramIndex
     graph: CallGraph
-    effects: EffectAnalysis
     #: (class qname, attr) → accesses, in deterministic order.
     accesses: dict[tuple[str, str], list[AttrAccess]] = field(default_factory=dict)
     #: Methods whose every in-program call site holds a lock.
@@ -96,10 +85,8 @@ class LockAnalysis:
     lock_owners: list[str] = field(default_factory=list)
 
     @classmethod
-    def build(
-        cls, index: ProgramIndex, graph: CallGraph, effects: EffectAnalysis
-    ) -> "LockAnalysis":
-        analysis = cls(index=index, graph=graph, effects=effects)
+    def build(cls, index: ProgramIndex, graph: CallGraph) -> "LockAnalysis":
+        analysis = cls(index=index, graph=graph)
         analysis.lock_owners = sorted(
             info.qname for info in index.iter_classes() if _owns_lock(info)
         )
@@ -168,36 +155,6 @@ class LockAnalysis:
             ):
                 yield cls_name, attr, accesses
 
-    def iter_guard_conflicts(self) -> Iterator[tuple[str, str, list[AttrAccess]]]:
-        """Attributes guarded by two *different* locks in different places."""
-        for (cls_name, attr), accesses in sorted(self.accesses.items()):
-            names = {
-                a.lock_name
-                for a in accesses
-                if a.locked and a.lock_name and a.lock_name != "<caller>"
-            }
-            if len(names) > 1:
-                yield cls_name, attr, accesses
-
-    def iter_blocking_under_lock(self) -> Iterator[CallSite]:
-        """Held-lock call sites whose callee transitively performs IO."""
-        for site in self.graph.iter_edges():
-            if not site.locked or site.callee == UNKNOWN:
-                continue
-            if Effect.IO in self.effects.effects_of(site.callee):
-                yield site
-
-    def iter_concurrent_global_writes(
-        self,
-    ) -> Iterator[tuple[str, Witness, tuple[str, ...]]]:
-        """(entry, witness, path) for global writes reachable from spawns."""
-        for entry in sorted(self.graph.spawned):
-            if Effect.MUTATES_SHARED not in self.effects.effects_of(entry):
-                continue
-            witness = self.effects.witness(entry, Effect.MUTATES_SHARED)
-            if witness is not None:
-                yield entry, witness, witness.path
-
 
 def _owns_lock(info: ClassInfo) -> bool:
     if info.lock_attrs:
@@ -229,35 +186,20 @@ class _AccessWalker:
 
     def run(self) -> None:
         for statement in self.method.node.body:
-            self._walk(
-                statement,
-                locked=self.base_locked,
-                lock_name="<caller>" if self.base_locked else None,
-            )
+            self._walk(statement, locked=self.base_locked)
 
-    def _walk(
-        self, node: ast.AST, *, locked: bool, lock_name: Optional[str]
-    ) -> None:
+    def _walk(self, node: ast.AST, *, locked: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             body_locked = locked
-            body_lock = lock_name
             for item in node.items:
                 if is_lock_expression(item.context_expr):
                     body_locked = True
-                    body_lock = ast.unparse(item.context_expr)
                 else:
-                    self._scan(item.context_expr, locked=locked, lock_name=lock_name)
+                    self._scan(item.context_expr, locked=locked)
             for child in node.body:
-                self._walk(child, locked=body_locked, lock_name=body_lock)
-            return
-        if isinstance(node, ast.If):
-            # ``if self._tracing:`` style guards don't change lock state,
-            # but the test expression itself is an access.
-            self._scan(node.test, locked=locked, lock_name=lock_name)
-            for child in node.body + node.orelse:
-                self._walk(child, locked=locked, lock_name=lock_name)
+                self._walk(child, locked=body_locked)
             return
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets: list[ast.expr]
@@ -266,53 +208,49 @@ class _AccessWalker:
             else:
                 targets = [node.target]
             for target in targets:
-                self._scan_target(target, locked=locked, lock_name=lock_name)
+                self._scan_target(target, locked=locked)
             if node.value is not None:
-                self._scan(node.value, locked=locked, lock_name=lock_name)
+                self._scan(node.value, locked=locked)
             return
         if isinstance(node, ast.expr):
-            self._scan(node, locked=locked, lock_name=lock_name)
+            self._scan(node, locked=locked)
             return
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self._scan(child, locked=locked, lock_name=lock_name)
+                self._scan(child, locked=locked)
             else:
-                self._walk(child, locked=locked, lock_name=lock_name)
+                self._walk(child, locked=locked)
 
     # -- expression-level scanning ------------------------------------------------
 
-    def _scan_target(
-        self, target: ast.expr, *, locked: bool, lock_name: Optional[str]
-    ) -> None:
+    def _scan_target(self, target: ast.expr, *, locked: bool) -> None:
         """Assignment target: the written base attribute is a write."""
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._scan_target(element, locked=locked, lock_name=lock_name)
+                self._scan_target(element, locked=locked)
             return
         base = target
         while isinstance(base, ast.Subscript):
             # ``self._plans[key] = ...`` writes through self._plans
-            self._scan(base.slice, locked=locked, lock_name=lock_name)
+            self._scan(base.slice, locked=locked)
             base = base.value
         attr = self._self_attr(base)
         if attr is not None:
-            self._note(base, attr, "write", locked, lock_name)
+            self._note(base, attr, "write", locked)
         else:
-            self._scan(target, locked=locked, lock_name=lock_name)
+            self._scan(target, locked=locked)
 
-    def _scan(
-        self, node: ast.expr, *, locked: bool, lock_name: Optional[str]
-    ) -> None:
+    def _scan(self, node: ast.expr, *, locked: bool) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
                 attr = self._self_attr(sub.func.value)
                 if attr is not None and sub.func.attr in _MUTATOR_METHODS:
-                    self._note(sub.func, attr, "write", locked, lock_name)
+                    self._note(sub.func, attr, "write", locked)
                     continue
             if isinstance(sub, ast.Attribute):
                 attr = self._self_attr(sub)
                 if attr is not None:
-                    self._note(sub, attr, "read", locked, lock_name)
+                    self._note(sub, attr, "read", locked)
 
     def _self_attr(self, node: ast.expr) -> Optional[str]:
         if (
@@ -323,27 +261,17 @@ class _AccessWalker:
             return node.attr
         return None
 
-    def _note(
-        self,
-        node: ast.AST,
-        attr: str,
-        kind: str,
-        locked: bool,
-        lock_name: Optional[str],
-    ) -> None:
+    def _note(self, node: ast.AST, attr: str, kind: str, locked: bool) -> None:
         if attr in self.cls.lock_attrs or "lock" in attr.lower():
             return  # accessing the lock itself is how you lock
         if self.index.find_method(self.cls, attr) is not None:
             return  # method reference, not shared data (the call graph has it)
         self.accesses.append(
             AttrAccess(
-                cls=self.cls.qname,
                 attr=attr,
                 method=self.method.qname,
                 line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
                 kind=kind,
                 locked=locked,
-                lock_name=lock_name,
             )
         )

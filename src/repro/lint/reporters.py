@@ -1,13 +1,13 @@
-"""Human, JSON, and SARIF renderings of a :class:`~repro.lint.engine.LintReport`."""
+"""Human and JSON renderings of a :class:`~repro.lint.engine.LintReport`."""
 
 from __future__ import annotations
 
 import json
 from typing import Sequence
 
-from repro.lint.engine import ERROR, LintReport, Rule
+from repro.lint.engine import LintReport, Rule
 
-__all__ = ["render_json", "render_rules", "render_sarif", "render_text"]
+__all__ = ["render_json", "render_rules", "render_text"]
 
 
 def render_text(report: LintReport) -> str:
@@ -24,71 +24,6 @@ def render_text(report: LintReport) -> str:
 def render_json(report: LintReport, *, indent: int = 2) -> str:
     """The machine-readable report (CI uploads this as an artifact)."""
     return json.dumps(report.to_dict(), indent=indent, sort_keys=True)
-
-
-def render_sarif(
-    report: LintReport, rules: Sequence[Rule], *, indent: int = 2
-) -> str:
-    """SARIF 2.1.0 document for code-scanning upload (CI artifact).
-
-    One run, one driver (``repro-lint``), one rule descriptor per rule
-    that actually ran, one result per finding.  Severities map
-    ``error`` → ``error`` and ``warning`` → ``warning``; locations use
-    repo-relative URIs exactly as linted.
-    """
-    ran = set(report.rules_run)
-    descriptors = [
-        {
-            "id": rule.name,
-            "shortDescription": {"text": rule.description or rule.name},
-            "defaultConfiguration": {
-                "level": "error" if rule.severity == ERROR else "warning"
-            },
-        }
-        for rule in rules
-        if rule.name in ran
-    ]
-    rule_index = {d["id"]: i for i, d in enumerate(descriptors)}
-    results = [
-        {
-            "ruleId": finding.rule,
-            "ruleIndex": rule_index.get(finding.rule, -1),
-            "level": "error" if finding.severity == ERROR else "warning",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path.replace("\\", "/")},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in report.findings
-    ]
-    document = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "docs/static-analysis.md",
-                        "rules": descriptors,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=indent, sort_keys=True)
 
 
 def render_rules(rules: Sequence[Rule]) -> str:

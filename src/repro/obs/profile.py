@@ -27,8 +27,8 @@ kernel               what it covers
 
 The profiler mirrors the tracer's NULL-object contract: hot paths test
 one ``enabled``/``self._profiling`` flag and pay nothing when profiling
-is off (:data:`NULL_PROFILER`), a discipline the ``hotpath-purity`` lint
-rule enforces statically.  When on, :class:`RecordingProfiler` keeps a
+is off (:data:`NULL_PROFILER`); ``benchmarks/bench_profile.py`` gates
+that disabled-path overhead.  When on, :class:`RecordingProfiler` keeps a
 frame stack and attributes *exclusive* wall time — a frame's inclusive
 time minus its nested kernel frames — plus deterministic call and
 operation counts, so two seeded runs always agree on everything except

@@ -45,7 +45,6 @@ class BruteForceMinCuts(PartitionStrategy):
     # The O(2^n) oracle exists to cross-check the real strategies, not to
     # be fast; it deliberately materializes the full cut set so the sort
     # below gives a canonical emission order.
-    # lint: disable=flow-hotpath-alloc -- reference oracle, off the optimized path by design
     def partitions(
         self, graph: JoinGraph, subset: int, metrics: Metrics
     ) -> Iterator[tuple[int, int]]:

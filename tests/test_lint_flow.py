@@ -1,12 +1,13 @@
-"""Tests for the whole-program flow analysis (``repro.lint.flow``).
+"""Tests for the whole-program lock-discipline analysis (``repro.lint.flow``).
 
-Structure mirrors ``test_lint.py``: each flow finding kind gets a
-positive fixture (exact rule id and severity), a negative fixture
-(idiomatic code stays clean), and a pragma-suppression check; the
-cross-module fixtures exercise the call graph rather than single files.
-The suite ends with the acceptance gates: the tree is flow-clean at
-HEAD, and deliberately injecting an unguarded ``GlobalPlanCache`` write
-or an unseeded hot-path RNG makes ``repro lint`` exit non-zero.
+Structure mirrors ``test_lint.py``: the two flow rules get positive
+fixtures (exact rule id and severity; the inputs include the
+``ServiceStats`` getters ``flow-unguarded-read`` caught when it was
+added), negative fixtures (idiomatic code stays clean), and a
+pragma-suppression check; the cross-module fixtures exercise the call
+graph rather than single files.  The suite ends with the acceptance
+gates: the whole tree lints clean, and deliberately injecting an
+unguarded ``GlobalPlanCache`` write makes ``repro lint`` exit non-zero.
 """
 
 import json
@@ -19,14 +20,14 @@ from repro.lint import (
     ALL_RULES,
     ERROR,
     FLOW_RULES,
-    WARNING,
     ModuleSource,
     lint_modules,
     lint_paths,
     lint_source,
-    render_sarif,
+    render_json,
+    render_text,
 )
-from repro.lint.flow import UNKNOWN, Effect, FlowProgram, Provenance, render_call_graph
+from repro.lint.flow import UNKNOWN, FlowProgram
 
 
 def parse_fixture(files):
@@ -110,33 +111,13 @@ class TestCallGraph:
             }
         )
         edges = program.graph.callees("pkg.mod.builder")
-        ref = [s for s in edges if s.callee == "pkg.mod.target"]
-        assert ref and ref[0].kind == "ref"
-
-    def test_thread_spawn_marks_entry_point(self):
-        program = build_program(
-            {
-                "pkg.mod": """\
-                    import threading
-
-                    def worker():
-                        return 1
-
-                    def start():
-                        t = threading.Thread(target=worker)
-                        t.start()
-                    """,
-            }
-        )
-        assert "pkg.mod.worker" in program.graph.spawned
-        spawn = [
-            s
-            for s in program.graph.callees("pkg.mod.start")
-            if s.callee == "pkg.mod.worker"
-        ]
-        assert spawn and spawn[0].kind == "spawn"
+        # functools.partial itself widens; the reference to target is a
+        # call site of target.
+        assert [s.callee for s in edges] == [UNKNOWN, "pkg.mod.target"]
 
     def test_bound_method_to_thread_spawn(self):
+        # A bound method handed to a thread is one of its call sites,
+        # which the locked-context fixpoint counts like a direct call.
         program = build_program(
             {
                 "pkg.mod": """\
@@ -151,7 +132,12 @@ class TestCallGraph:
                     """,
             }
         )
-        assert "pkg.mod.D._run" in program.graph.spawned
+        refs = [
+            s
+            for s in program.graph.callees("pkg.mod.D.go")
+            if s.callee == "pkg.mod.D._run"
+        ]
+        assert [s.locked for s in refs] == [False]
 
     def test_unresolvable_call_widens_to_unknown(self):
         program = build_program(
@@ -163,202 +149,11 @@ class TestCallGraph:
                     """,
             }
         )
-        callees = {s.callee for s in program.graph.callees("pkg.mod.caller")}
-        # A bare unresolvable name widens to the <unknown> sentinel; an
-        # attribute call on an opaque receiver keeps its dotted display
-        # name so the effect patterns can still match it.
-        assert UNKNOWN in callees
-        assert "thing.whatever" in callees
-        # Widened callees contribute no effects (documented imprecision).
-        assert program.effects.effects_of("pkg.mod.caller") == set()
-
-    def test_render_call_graph_dump(self):
-        program = build_program(
-            {
-                "pkg.mod": """\
-                    def leaf():
-                        return 1
-
-                    def top():
-                        return leaf()
-                    """,
-            }
-        )
-        dump = render_call_graph(program)
-        assert "pkg.mod.top" in dump
-        assert "-> pkg.mod.leaf" in dump
-        assert "edge(s)" in dump
-
-
-class TestEffectInference:
-    def test_transitive_io_effect(self):
-        program = build_program(
-            {
-                "pkg.a": """\
-                    from pkg.b import dump
-
-                    def top(x):
-                        return dump(x)
-                    """,
-                "pkg.b": """\
-                    def dump(x):
-                        print(x)
-                    """,
-            }
-        )
-        assert Effect.IO in program.effects.effects_of("pkg.a.top")
-        witness = program.effects.witness("pkg.a.top", Effect.IO)
-        assert witness.qname == "pkg.b.dump"
-        assert witness.path == ("pkg.b.dump",)
-
-    def test_guarded_call_does_not_propagate_trace(self):
-        program = build_program(
-            {
-                "pkg.a": """\
-                    def emit(tracer, payload):
-                        tracer.event(payload)
-
-                    def guarded(tracer):
-                        if tracer.enabled:
-                            emit(tracer, "x")
-                    """,
-            }
-        )
-        assert Effect.TRACE in program.effects.effects_of("pkg.a.emit")
-        assert Effect.TRACE not in program.effects.effects_of("pkg.a.guarded")
-
-
-class TestHotPathEffectRules:
-    def test_hotpath_io_one_call_deep(self):
-        found = flow_findings(
-            {
-                HOT: """\
-                    from repro.enumerator.util import dump
-
-                    def _calc_best_join(x):
-                        dump(x)
-                    """,
-                HELPER: """\
-                    def dump(x):
-                        with open("/tmp/out", "w") as fh:
-                            fh.write(str(x))
-                    """,
-            }
-        )
-        hits = [f for f in found if f.rule == "flow-hotpath-io"]
-        assert hits and all(f.severity == ERROR for f in hits)
-        assert any(f.module == HOT and "dump" in f.message for f in hits)
-
-    def test_hotpath_env_one_call_deep(self):
-        rules = flow_rules_hit(
-            {
-                HOT: """\
-                    from repro.enumerator.util import mode
-
-                    def _calc_best_join(x):
-                        return mode()
-                    """,
-                HELPER: """\
-                    import os
-
-                    def mode():
-                        return os.environ.get("REPRO_MODE")
-                    """,
-            }
-        )
-        assert "flow-hotpath-env" in rules
-
-    def test_hotpath_random_one_call_deep(self):
-        rules = flow_rules_hit(
-            {
-                HOT: """\
-                    from repro.enumerator.util import mix
-
-                    def _calc_best_join(xs):
-                        return mix(xs)
-                    """,
-                HELPER: """\
-                    import random
-
-                    def mix(xs):
-                        random.shuffle(xs)
-                        return xs
-                    """,
-            }
-        )
-        assert "flow-hotpath-random" in rules
-
-    def test_hotpath_trace_is_transitive_only(self):
-        files = {
-            HOT: """\
-                from repro.enumerator.util import note
-
-                def _calc_best_join(tracer, x):
-                    note(tracer, x)
-                """,
-            HELPER: """\
-                def note(tracer, payload):
-                    tracer.event(payload)
-                """,
-        }
-        found = flow_findings(files)
-        trace = [f for f in found if f.rule == "flow-hotpath-trace"]
-        # The caller is flagged (call-deep leak); the direct site in the
-        # helper is the syntactic hotpath-purity rule's jurisdiction.
-        assert any(f.module == HOT for f in trace)
-        assert not any(f.module == HELPER for f in trace)
-
-    def test_hotpath_alloc_is_a_warning(self):
-        found = flow_findings(
-            {
-                HOT: """\
-                    from repro.enumerator.util import uniq
-
-                    def _calc_best_join(xs):
-                        return uniq(xs)
-                    """,
-                HELPER: """\
-                    def uniq(xs):
-                        return set(xs)
-                    """,
-            }
-        )
-        allocs = [f for f in found if f.rule == "flow-hotpath-alloc"]
-        assert allocs and all(f.severity == WARNING for f in allocs)
-
-    def test_guarded_emission_and_cold_functions_stay_clean(self):
-        rules = flow_rules_hit(
-            {
-                HOT: """\
-                    from repro.enumerator.util import note
-
-                    def _calc_best_join(tracer, x):
-                        if tracer.enabled:
-                            note(tracer, x)
-
-                    def describe(tracer, x):
-                        note(tracer, x)
-                    """,
-                HELPER: """\
-                    def note(tracer, payload):
-                        tracer.event(payload)
-                    """,
-            }
-        )
-        assert "flow-hotpath-trace" not in rules
-
-    def test_cold_module_is_out_of_scope(self):
-        rules = flow_rules_hit(
-            {
-                "repro.workloads.gen": """\
-                    import os
-
-                    def anything():
-                        return os.environ.get("HOME")
-                    """,
-            }
-        )
-        assert "flow-hotpath-env" not in rules
+        sites = program.graph.callees("pkg.mod.caller")
+        # A bare unresolvable name and an attribute call on an opaque
+        # receiver both widen to the <unknown> sentinel, which is a call
+        # site of no indexed method (documented imprecision).
+        assert [s.callee for s in sites] == [UNKNOWN, UNKNOWN]
 
 
 LOCK_FIXTURE = """\
@@ -380,6 +175,36 @@ LOCK_FIXTURE = """\
             self._count = 0
     """
 
+#: The shape of ``repro.serve.stats.ServiceStats`` when
+#: ``flow-unguarded-read`` was added: counters bumped under the lock,
+#: read back by bare getters (the race it caught and that was fixed).
+SERVICE_STATS_FIXTURE = """\
+    import threading
+
+    class ServiceStats:
+        def __init__(self, registry):
+            self.registry = registry
+            self._lock = threading.Lock()
+            self._hits = self.registry.counter("serve_cache_hits")
+            self._misses = self.registry.counter("serve_cache_misses")
+
+        def record_hit(self):
+            with self._lock:
+                self._hits.inc()
+
+        def record_miss(self):
+            with self._lock:
+                self._misses.inc()
+
+        @property
+        def hits(self):
+            return self._hits.value
+
+        def hit_rate(self):
+            answered = self._hits.value + self._misses.value
+            return self._hits.value / answered if answered else 0.0
+    """
+
 
 class TestLockDiscipline:
     def test_unguarded_read_and_write(self):
@@ -388,6 +213,10 @@ class TestLockDiscipline:
         assert "flow-unguarded-read" in rules
         assert "flow-unguarded-write" in rules
         assert all(f.severity == ERROR for f in found)
+        stats = flow_findings({"repro.serve.stats": SERVICE_STATS_FIXTURE})
+        assert {f.rule for f in stats} == {"flow-unguarded-read"}
+        # hits (1 read) and hit_rate (3 reads of _hits/_misses).
+        assert sorted(f.line for f in stats) == [20, 23, 23, 24]
 
     def test_consistently_locked_class_is_clean(self):
         assert (
@@ -438,30 +267,6 @@ class TestLockDiscipline:
             == []
         )
 
-    def test_guard_inconsistent_two_locks(self):
-        rules = flow_rules_hit(
-            {
-                "pkg.shared": """\
-                    import threading
-
-                    class Shared:
-                        def __init__(self):
-                            self._lock = threading.Lock()
-                            self._aux_lock = threading.Lock()
-                            self._count = 0
-
-                        def bump(self):
-                            with self._lock:
-                                self._count += 1
-
-                        def bump_other(self):
-                            with self._aux_lock:
-                                self._count += 1
-                    """
-            }
-        )
-        assert "flow-guard-inconsistent" in rules
-
     def test_get_lock_style_with_is_recognized(self):
         # multiprocessing.Value-style: with self._value.get_lock(): ...
         assert (
@@ -487,50 +292,6 @@ class TestLockDiscipline:
             == []
         )
 
-    def test_blocking_under_lock_warns(self):
-        found = flow_findings(
-            {
-                "pkg.shared": """\
-                    import threading
-
-                    class Logger:
-                        def __init__(self):
-                            self._lock = threading.Lock()
-
-                        def flush(self, data):
-                            with self._lock:
-                                self._write(data)
-
-                        def _write(self, data):
-                            with open("/tmp/log", "w") as fh:
-                                fh.write(data)
-                    """
-            }
-        )
-        blocking = [f for f in found if f.rule == "flow-blocking-under-lock"]
-        assert blocking and blocking[0].severity == WARNING
-
-    def test_concurrent_global_write(self):
-        found = flow_findings(
-            {
-                "pkg.mod": """\
-                    import threading
-
-                    _RESULTS = []
-
-                    def worker(x):
-                        _RESULTS.append(x)
-
-                    def start():
-                        t = threading.Thread(target=worker)
-                        t.start()
-                    """
-            }
-        )
-        hits = [f for f in found if f.rule == "flow-concurrent-global-write"]
-        assert hits and hits[0].severity == ERROR
-        assert "_RESULTS" in hits[0].message
-
     def test_pragma_suppresses_with_reason(self):
         source = LOCK_FIXTURE.replace(
             "return self._count",
@@ -547,117 +308,13 @@ class TestLockDiscipline:
         assert [f.rule for f in found] == []
 
 
-class TestDeterminismTaint:
-    def test_unseeded_construction_is_flagged(self):
-        found = flow_findings(
-            {
-                "pkg.mod": """\
-                    import random
-
-                    def make():
-                        return random.Random()
-                    """
-            }
-        )
-        assert [f.rule for f in found] == ["flow-unseeded-rng"]
-        assert found[0].severity == ERROR
-
-    def test_nondeterministic_seed_is_flagged(self):
-        rules = flow_rules_hit(
-            {
-                "pkg.mod": """\
-                    import random
-                    import time
-
-                    def make():
-                        return random.Random(time.time())
-                    """
-            }
-        )
-        assert "flow-unseeded-rng" in rules
-
-    def test_seeded_pair_stays_clean(self):
-        assert (
-            flow_rules_hit(
-                {
-                    "pkg.mod": """\
-                    import random
-
-                    DEFAULT_SEED = 20070611
-
-                    def from_param(seed):
-                        return random.Random(seed)
-
-                    def from_constant():
-                        return random.Random(DEFAULT_SEED)
-
-                    def derived(seed, worker_index):
-                        return random.Random(seed + worker_index * 7919)
-                    """
-                }
-            )
-            == []
-        )
-
-    def test_imported_constant_counts_as_seeded(self):
-        assert (
-            flow_rules_hit(
-                {
-                    "pkg.seeds": "DEFAULT_SEED = 7\n",
-                    "pkg.mod": """\
-                    import random
-
-                    from pkg.seeds import DEFAULT_SEED
-
-                    def make():
-                        return random.Random(DEFAULT_SEED)
-                    """,
-                }
-            )
-            == []
-        )
-
-    def test_unused_seed_parameter_warns(self):
-        found = flow_findings(
-            {
-                "pkg.mod": """\
-                    def run(items, seed):
-                        return sorted(items)
-                    """
-            }
-        )
-        assert [f.rule for f in found] == ["flow-unused-seed"]
-        assert found[0].severity == WARNING
-
-    def test_taint_provenance_classification(self):
-        program = build_program(
-            {
-                "pkg.mod": """\
-                    import random
-                    import time
-
-                    def bad():
-                        return random.Random(time.time())
-
-                    def opaque(thing):
-                        return random.Random(thing.whatever())
-                    """
-            }
-        )
-        by_fn = {site.function: site for site in program.taint.sites}
-        assert by_fn["pkg.mod.bad"].provenance is Provenance.NONDET
-        # Unknown provenance is clean by design (documented imprecision).
-        assert by_fn["pkg.mod.opaque"].provenance is Provenance.UNKNOWN
-
-
 class TestEngineIntegration:
     def test_glob_select_picks_flow_family(self):
-        report = lint_source(
-            "import random\n\ndef make():\n    return random.Random()\n",
-            select=["flow-*"],
-        )
+        report = lint_source(textwrap.dedent(LOCK_FIXTURE), select=["flow-*"])
         assert set(report.rules_run) == {rule.name for rule in FLOW_RULES}
-        assert [f.rule for f in report.findings] == ["flow-unseeded-rng"]
+        assert [f.rule for f in report.findings] == [
+            "flow-unguarded-read", "flow-unguarded-write"
+        ]
 
     def test_unmatched_glob_raises(self):
         with pytest.raises(ValueError, match="matches no rule"):
@@ -665,97 +322,30 @@ class TestEngineIntegration:
 
     def test_flow_findings_flow_through_reporters(self):
         report = lint_source(
-            "import random\n\ndef make():\n    return random.Random()\n",
-            select=["flow-unseeded-rng"],
+            textwrap.dedent(LOCK_FIXTURE), select=["flow-unguarded-read"]
         )
-        sarif = json.loads(render_sarif(report, ALL_RULES))
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        assert run["results"][0]["ruleId"] == "flow-unseeded-rng"
-        assert run["results"][0]["level"] == "error"
-
-    def test_program_root_reports_only_linted_paths(self, tmp_path):
-        pkg = tmp_path / "repro" / "enumerator"
-        pkg.mkdir(parents=True)
-        (pkg / "core.py").write_text(
-            "from repro.enumerator.util import mode\n\n"
-            "def _calc_best_join(x):\n    return mode()\n"
-        )
-        (pkg / "util.py").write_text(
-            "import os\n\ndef mode():\n    return os.environ.get('MODE')\n"
-        )
-        report = lint_paths(
-            [str(pkg / "core.py")],
-            select=["flow-*"],
-            program_paths=[str(tmp_path)],
-        )
-        assert report.findings, "cross-module leak must be visible"
-        assert all(f.path.endswith("core.py") for f in report.findings)
-        # Without the program context the leak is invisible.
-        alone = lint_paths([str(pkg / "core.py")], select=["flow-*"])
-        assert alone.findings == []
+        assert "[error] flow-unguarded-read" in render_text(report)
+        payload = json.loads(render_json(report))
+        assert payload["rules"] == ["flow-unguarded-read"]
+        assert payload["findings"][0]["rule"] == "flow-unguarded-read"
+        assert payload["findings"][0]["line"] == 13
 
     def test_all_flow_rules_are_registered(self):
         names = {rule.name for rule in FLOW_RULES}
-        assert len(names) == 12
+        assert names == {"flow-unguarded-read", "flow-unguarded-write"}
         assert names <= {rule.name for rule in ALL_RULES}
-        assert all(name.startswith("flow-") for name in names)
 
 
 class TestCli:
-    BAD = "import random\n\ndef make():\n    return random.Random()\n"
-
     def test_flow_violation_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.py"
-        path.write_text(self.BAD)
+        path.write_text(textwrap.dedent(LOCK_FIXTURE))
         assert cli_main(["lint", str(path), "--select", "flow-*"]) == 1
-        assert "flow-unseeded-rng" in capsys.readouterr().out
-
-    def test_sarif_format(self, tmp_path, capsys):
-        path = tmp_path / "bad.py"
-        path.write_text(self.BAD)
-        assert cli_main(["lint", str(path), "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert any(
-            r["ruleId"].startswith("flow-")
-            for r in payload["runs"][0]["results"]
-        )
-
-    def test_call_graph_dump(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        path.write_text("def leaf():\n    return 1\n\ndef top():\n    return leaf()\n")
-        assert cli_main(["lint", str(path), "--call-graph"]) == 0
-        out = capsys.readouterr().out
-        assert "-> mod.leaf" in out
-
-    def test_program_root_cli(self, tmp_path, capsys):
-        pkg = tmp_path / "repro" / "enumerator"
-        pkg.mkdir(parents=True)
-        (pkg / "core.py").write_text(
-            "from repro.enumerator.util import mode\n\n"
-            "def _calc_best_join(x):\n    return mode()\n"
-        )
-        (pkg / "util.py").write_text(
-            "import os\n\ndef mode():\n    return os.environ.get('MODE')\n"
-        )
-        code = cli_main(
-            [
-                "lint",
-                str(pkg / "core.py"),
-                "--program-root",
-                str(tmp_path),
-                "--select",
-                "flow-*",
-            ]
-        )
-        assert code == 1
-        assert "flow-hotpath-env" in capsys.readouterr().out
+        assert "flow-unguarded-read" in capsys.readouterr().out
 
 
 class TestRepoGate:
-    """Acceptance: the tree is flow-clean, injections are caught."""
+    """Acceptance: the tree lints clean, injections are caught."""
 
     def test_repo_is_flow_clean(self):
         report = lint_paths(["src", "tests", "benchmarks"], select=["flow-*"])
@@ -763,8 +353,11 @@ class TestRepoGate:
         assert report.findings == [], f"flow findings at HEAD:\n{rendered}"
 
     def test_repo_is_fully_clean_including_benchmarks(self):
+        # Every rule over src/, tests/ and benchmarks/, zero errors and
+        # zero warnings, as CI runs it.
         report = lint_paths(["src", "tests", "benchmarks"])
         assert report.files_checked > 150
+        assert report.rules_run == tuple(rule.name for rule in ALL_RULES)
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.findings == [], f"lint findings at HEAD:\n{rendered}"
 
@@ -784,19 +377,3 @@ class TestRepoGate:
         report = lint_paths([str(copy)], select=["flow-*"])
         assert report.exit_code == 1
         assert any(f.rule == "flow-unguarded-write" for f in report.findings)
-
-    def test_injected_unseeded_hotpath_rng_fails_lint(self, tmp_path):
-        pkg = tmp_path / "repro" / "enumerator"
-        pkg.mkdir(parents=True)
-        helper = pkg / "jitter.py"
-        helper.write_text(
-            "import random\n\n"
-            "def _jitter():\n"
-            "    return random.Random()\n\n"
-            "def _calc_best_join(xs):\n"
-            "    rng = _jitter()\n"
-            "    return rng\n"
-        )
-        report = lint_paths([str(helper)], select=["flow-*"])
-        assert report.exit_code == 1
-        assert any(f.rule == "flow-unseeded-rng" for f in report.findings)

@@ -41,6 +41,10 @@ class TestMetrics:
         assert a.peak_memo_cells == 10  # max, not sum
         assert a.unique_expressions_expanded == 2
 
+    def test_misspelled_counter_write_raises(self):
+        with pytest.raises(AttributeError):
+            Metrics().memo_evictons = 1
+
 
 class TestPlanSpace:
     def test_describe(self):

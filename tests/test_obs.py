@@ -1,8 +1,5 @@
 """Tests for the observability layer (repro.obs)."""
 
-# lint: disable-file=instrument-name -- tests exercise the registry with
-# ad-hoc instrument names on purpose; only src/ must use the constants.
-
 import io
 import json
 
