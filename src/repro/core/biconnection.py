@@ -5,8 +5,8 @@ Implements the graph-theoretic substrate of Section 3.3 of the paper:
 * articulation vertices and biconnected components via the classic
   Hopcroft/Tarjan depth-first search (Aho, Hopcroft & Ullman), written
   iteratively so deep graphs never hit Python's recursion limit (an
-  acyclic or complete subgraph's articulation vertices are read from its
-  induced degrees instead);
+  acyclic subgraph's articulation vertices are read from its induced
+  degrees, a complete one has none);
 * the *biconnection tree* of Algorithm 3 (``BuildBccTree``): a tree whose
   vertex nodes are the vertices of ``G`` and whose set nodes are the
   biconnected components, rooted at a distinguished vertex ``t``;
@@ -36,6 +36,7 @@ __all__ = [
     "biconnected_components",
     "build_bcc_tree",
     "is_complete",
+    "tree_articulation",
 ]
 
 
@@ -187,6 +188,32 @@ def is_complete(neighbors: list[int], subset: int, first: int) -> bool:
         if neighbors[low_bit.bit_length() - 1] & subset | low_bit != subset:
             return False
     return True
+
+
+def tree_articulation(neighbors: list[int], subset: int) -> int | None:
+    """The articulation vertices of a connected ``G|_subset`` if it is
+    acyclic, else ``None``.
+
+    A connected subgraph is a tree exactly when ``|E| = |S| - 1``, i.e.
+    when its induced degrees sum to ``2(|S| - 1)``; one pass sums them,
+    stopping once the sum passes that bound.  Deleting a tree vertex of
+    degree ``d`` leaves ``d`` pieces, so its articulation vertices are
+    those of induced degree >= 2, and its leaves are the rest.
+    """
+    bound = 2 * subset.bit_count() - 2
+    degree_sum = 0
+    inner = 0
+    remaining = subset
+    while remaining:
+        low_bit = remaining & -remaining
+        remaining ^= low_bit
+        degree = (neighbors[low_bit.bit_length() - 1] & subset).bit_count()
+        degree_sum += degree
+        if degree >= 2:
+            if degree_sum > bound:
+                return None
+            inner |= low_bit
+    return inner if degree_sum == bound else None
 
 
 def _complete_tree(
@@ -348,30 +375,19 @@ def articulation_vertices(graph: JoinGraph, subset: int | None = None) -> int:
     """Return the articulation vertices of ``G|_subset`` as a mask.
 
     Precondition: ``G|_subset`` is connected (every CP-free caller's
-    contract).  One pass sums the induced degrees.  With ``|E| = |S| - 1``
-    the subgraph is a tree, whose articulation vertices are exactly those
-    of induced degree >= 2; with ``|E| = |S|(|S| - 1)/2`` it is complete
-    and has none.  Any other subgraph takes the Hopcroft–Tarjan DFS.
+    contract).  An acyclic subgraph is answered from its induced degrees
+    (:func:`tree_articulation`); a complete one has none.  Any other
+    subgraph takes the Hopcroft–Tarjan DFS.
     """
     if subset is None:
         subset = graph.all_vertices
     neighbors = graph.neighbors
-    degree_sum = 0
-    inner = 0
-    remaining = subset
-    while remaining:
-        low_bit = remaining & -remaining
-        remaining ^= low_bit
-        degree = (neighbors[low_bit.bit_length() - 1] & subset).bit_count()
-        degree_sum += degree
-        if degree >= 2:
-            inner |= low_bit
-    size = subset.bit_count()
-    if degree_sum == 2 * (size - 1):
-        return inner
-    if degree_sum == size * (size - 1):
-        return 0
+    articulation = tree_articulation(neighbors, subset)
+    if articulation is not None:
+        return articulation
     root = (subset & -subset).bit_length() - 1
+    if is_complete(neighbors, subset, root):
+        return 0
     return _biconnection_dfs(neighbors, subset, root).articulation
 
 

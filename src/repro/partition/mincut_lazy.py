@@ -16,14 +16,22 @@ passes, so acyclic graphs build exactly one tree for the whole enumeration.
 ``MinCutEager`` is the same algorithm with reuse disabled (a fresh tree per
 invocation), as used for the baseline in Figures 2–5.
 
-On a complete ``G|S`` no tree is ever reusable (Fig. 4): every invocation
-rebuilds the same one-component tree, whose pivots are all of its
-candidates, so Algorithm 4 emits every non-empty subset of ``S \\ {t}`` in
-lexicographic depth-first order.  :func:`complete_cuts` yields that
-sequence in closed form, with Algorithm 4's counters and tracer events,
-and :class:`MinCutLazySearch` (the search's bushy ``mc`` strategy) takes
-it for complete expressions.  ``MinCutLazy`` stays literal because
-Figures 2–5 measure it.
+Two shapes have Algorithm 4's sequence in closed form, and
+:class:`MinCutLazySearch` (the search's bushy ``mc`` strategy) takes it
+for them, with Algorithm 4's counters and tracer events:
+
+* On a complete ``G|S`` no tree is ever reusable (Fig. 4): every
+  invocation rebuilds the same one-component tree, whose pivots are all
+  of its candidates, so Algorithm 4 emits every non-empty subset of
+  ``S \\ {t}`` in lexicographic depth-first order (:func:`complete_cuts`).
+* On an acyclic ``G|S`` the one tree built is reused by every invocation
+  (§3.3.1), and the minimal cuts are the subtrees ``D(v)`` of ``G|S``
+  rooted at ``t``: the root invocation's pivots are the leaves, and each
+  leaf's invocation walks up towards ``t`` until it meets ``T``
+  (:func:`acyclic_cuts`).
+
+Every other subset takes the literal algorithm.  ``MinCutLazy`` stays
+literal throughout because Figures 2–5 measure it.
 """
 
 from __future__ import annotations
@@ -31,13 +39,24 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.analysis.metrics import Metrics
-from repro.core.biconnection import BiconnectionTree, build_bcc_tree, is_complete
+from repro.core.biconnection import (
+    BiconnectionTree,
+    build_bcc_tree,
+    is_complete,
+    tree_articulation,
+)
 from repro.core.joingraph import JoinGraph
 from repro.obs.profile import KERNEL_BCC_BUILD, KernelProfiler
 from repro.obs.tracer import Tracer
 from repro.partition.base import PartitionStrategy, PlanSpace
 
-__all__ = ["MinCutEager", "MinCutLazy", "MinCutLazySearch", "complete_cuts"]
+__all__ = [
+    "MinCutEager",
+    "MinCutLazy",
+    "MinCutLazySearch",
+    "acyclic_cuts",
+    "complete_cuts",
+]
 
 
 class MinCutLazy(PartitionStrategy):
@@ -173,12 +192,14 @@ class MinCutEager(MinCutLazy):
 
 
 class MinCutLazySearch(MinCutLazy):
-    """The search's bushy ``mc`` strategy: Algorithm 4, closed form on cliques.
+    """The search's bushy ``mc`` strategy: Algorithm 4, closed form on
+    cliques and trees.
 
-    A complete ``G|subset`` is answered by :func:`complete_cuts`, which
-    yields the pairs, counters and tracer events ``MinCutLazy`` would;
-    every other subset (and the size-3 tweak, whose reuse test can pass
-    on a complete triangle) takes the literal algorithm.
+    A complete ``G|subset`` is answered by :func:`complete_cuts` and an
+    acyclic one by :func:`acyclic_cuts`, each yielding the pairs,
+    counters and tracer events ``MinCutLazy`` would; every other subset
+    (and the size-3 tweak, whose reuse test can pass on a complete
+    triangle) takes the literal algorithm.
     """
 
     def partitions(
@@ -189,9 +210,16 @@ class MinCutLazySearch(MinCutLazy):
                 anchor = self.anchor
             else:
                 anchor = (subset & -subset).bit_length() - 1
-            if is_complete(graph.neighbors, subset, anchor):
+            neighbors = graph.neighbors
+            if is_complete(neighbors, subset, anchor):
                 return complete_cuts(
                     subset, anchor, metrics, self.tracer, self.profiler
+                )
+            articulation = tree_articulation(neighbors, subset)
+            if articulation is not None:
+                return acyclic_cuts(
+                    neighbors, subset, anchor, subset & ~articulation, metrics,
+                    self.tracer, self.profiler,
                 )
         return super().partitions(graph, subset, metrics)
 
@@ -258,3 +286,77 @@ def complete_cuts(
             s ^= top
             top = above & -above
             s |= top
+
+
+def acyclic_cuts(
+    neighbors: list[int],
+    subset: int,
+    anchor: int,
+    leaves: int,
+    metrics: Metrics,
+    tracer: Tracer,
+    profiler: KernelProfiler,
+) -> Iterator[tuple[int, int]]:
+    """Both orientations of every minimal cut of an acyclic ``G|subset``.
+
+    ``leaves`` are the vertices of induced degree at most one (``subset``
+    minus :func:`~repro.core.biconnection.tree_articulation`).  Rooted at the
+    anchor, each edge cuts off one subtree ``D(v)``, and these come in
+    Algorithm 4's order: the root invocation's pivots are the leaves in
+    ascending order, and the invocation for ``D(v)`` has the single
+    pivot ``parent(v)`` unless that lies in ``T``, which holds the anchor
+    and every path walked from an earlier leaf.  So from each leaf the
+    cuts walk up until the next parent is in ``T``.  No tree is built,
+    but the counters move as Algorithm 4's do, at the same points of the
+    iteration: one tree (``bcc_trees_built``, a ``bcc_tree_built`` event
+    and an empty ``partition.bcc_build`` frame when profiling) before the
+    first cut, and after every cut whose walk goes on upward one
+    successful usability test with its ``bcc_tree_reused`` event.
+    """
+    # Root G|subset at the anchor: parents in breadth-first order, then
+    # descendant masks bottom-up.
+    size = subset.bit_length()
+    parent = [0] * size
+    descendants = [0] * size
+    order = [anchor]
+    seen = 1 << anchor
+    for v in order:
+        children = neighbors[v] & subset & ~seen
+        seen |= children
+        while children:
+            low_bit = children & -children
+            children ^= low_bit
+            w = low_bit.bit_length() - 1
+            parent[w] = v
+            descendants[w] = low_bit
+            order.append(w)
+    for v in order[:0:-1]:
+        descendants[parent[v]] |= descendants[v]
+
+    tracing = tracer.enabled
+    if profiler.enabled:
+        profiler.enter(KERNEL_BCC_BUILD)
+        profiler.exit()
+    metrics.bcc_trees_built += 1
+    if tracing:
+        tracer.event("bcc_tree_built", rest=subset, reuse_denied=False)
+    t = 1 << anchor
+    leaves &= ~t
+    while leaves:
+        low_bit = leaves & -leaves
+        leaves ^= low_bit
+        v = low_bit.bit_length() - 1
+        while True:
+            s = descendants[v]
+            rest = subset ^ s
+            metrics.partitions_emitted += 2
+            yield (s, rest)
+            yield (rest, s)
+            t |= 1 << v
+            v = parent[v]
+            if t >> v & 1:
+                break
+            metrics.usability_tests += 1
+            metrics.usability_hits += 1
+            if tracing:
+                tracer.event("bcc_tree_reused", rest=rest)

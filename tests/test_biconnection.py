@@ -14,6 +14,7 @@ from repro.core.biconnection import (
     articulation_vertices,
     biconnected_components,
     build_bcc_tree,
+    tree_articulation,
 )
 from repro.core.bitset import bit, iter_bits, mask_of, set_of
 from repro.core.joingraph import JoinGraph
@@ -123,6 +124,26 @@ class TestArticulation:
                 assert articulation_vertices(g, subset) == brute_force_articulation(
                     g, subset
                 )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle(7), wheel(6), FIGURE1, clique(5)]
+        + [random_connected_graph(8, c, seed) for c in (0.0, 0.4) for seed in (1, 2)],
+    )
+    def test_tree_articulation_reads_induced_edges(self, graph):
+        """``None`` exactly when ``|E| != |S| - 1``, else the vertices of
+        induced degree at least two."""
+        from repro.conformance.oracles import connected_subsets
+
+        for subset in connected_subsets(graph):
+            articulation = tree_articulation(graph.neighbors, subset)
+            if graph.edge_count_within(subset) != subset.bit_count() - 1:
+                assert articulation is None, subset
+                continue
+            assert articulation == mask_of(
+                v for v in iter_bits(subset)
+                if (graph.neighbors[v] & subset).bit_count() >= 2
+            ), subset
 
     @pytest.mark.parametrize(
         "graph", [cycle(6), wheel(6), FIGURE1], ids=["cycle", "wheel", "figure1"]

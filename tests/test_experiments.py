@@ -7,7 +7,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ExperimentResult, graph_maker
 from repro.experiments.memory import THRESHOLDS, required_cells
 from repro.registry import make_optimizer
-from repro.workloads import star, weighted_query
+from repro.workloads import chain, cycle, star, weighted_query
 
 
 class TestCommon:
@@ -101,6 +101,31 @@ class TestExhaustiveShapes:
         last = result.rows[-1]
         # The two optimal algorithms stay close; size-driven lags as n grows.
         assert last["BBNccp_rel"] < 3
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    @pytest.mark.parametrize(
+        "topology", [star, chain, cycle], ids=["star", "chain", "cycle"]
+    )
+    def test_fig9_top_down_mirrors_bottom_up_in_work(self, topology, seed):
+        """Deterministic companion of the wall-time ratio above: TBNmc
+        enumerates and costs exactly the join operators BBNccp does
+        (Figs. 9, 10, 12: both are optimal), and finds a plan of the
+        same cost."""
+        for n in (6, 10, 12):
+            query = weighted_query(topology(n), seed)
+            found = {}
+            for name in ("TBNmc", "BBNccp"):
+                optimizer = make_optimizer(name, query)
+                plan = optimizer.optimize()
+                metrics = optimizer.metrics
+                found[name] = (
+                    metrics.logical_joins_enumerated,
+                    metrics.join_operators_costed,
+                    plan.cost,
+                )
+            top_down, bottom_up = found["TBNmc"], found["BBNccp"]
+            assert top_down[:2] == bottom_up[:2], (n, found)
+            assert top_down[2] == pytest.approx(bottom_up[2], rel=1e-12), n
 
     def test_fig9_join_op_counts_match_formula(self):
         from repro.analysis.counting import ono_lohman_join_operators

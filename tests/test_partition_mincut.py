@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import Metrics
 from repro.conformance.oracles import connected_subsets
 from repro.core.bitset import bit, mask_of, popcount
+from repro.obs.profile import KernelProfiler
 from repro.obs.tracer import Tracer
 from repro.partition import (
     BruteForceMinCuts,
@@ -178,10 +179,25 @@ class EventLog(Tracer):
         self.events.append((name, data))
 
 
+class FrameLog(KernelProfiler):
+    """Logs profiler frames into an event list, interleaved with events."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def enter(self, kernel):
+        self.events.append(("enter", kernel))
+
+    def exit(self):
+        self.events.append(("exit", None))
+
+
 def traced(strategy, graph, subset, anchor, stop=None):
-    """Pairs, counters and events of one invocation, closed after ``stop``."""
+    """Pairs, counters, events and profiler frames of one invocation,
+    closed after ``stop`` pairs."""
     strategy = strategy(anchor=anchor)
     strategy.tracer = EventLog()
+    strategy.profiler = FrameLog(strategy.tracer.events)
     metrics = Metrics()
     pairs = strategy.partitions(graph, subset, metrics)
     taken = list(itertools.islice(pairs, stop))
@@ -212,9 +228,32 @@ def assert_search_matches_literal(graph, subset):
                     ), (search.__name__, subset, anchor, stop)
 
 
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Every ``build_bcc_tree`` call Algorithm 4's module makes."""
+    calls = []
+    build = mincut_lazy.build_bcc_tree
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mincut_lazy, "build_bcc_tree", counting)
+    return calls
+
+
+ACYCLIC_AND_CYCLE_GRAPHS = {
+    **{f"chain{n}": chain(n) for n in range(2, 10)},
+    **{f"star{n}": star(n) for n in range(2, 10)},
+    **{f"cycle{n}": cycle(n) for n in range(3, 10)},
+    **{f"binary_tree{n}": binary_tree(n) for n in (3, 7, 9)},
+}
+
+
 class TestSearchStrategies:
-    """The search's strategies answer complete expressions in closed form
-    with the pairs, counters and events of their literal parents."""
+    """The search's strategies answer complete (and ``mc`` acyclic)
+    expressions in closed form with the pairs, counters, events and
+    profiler frames of their literal parents."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_clique_subsets_match_literal(self, n):
@@ -229,25 +268,49 @@ class TestSearchStrategies:
         for subset in connected_subsets(graph, min_size=2):
             assert_search_matches_literal(graph, subset)
 
+    @pytest.mark.parametrize(
+        "graph",
+        list(ACYCLIC_AND_CYCLE_GRAPHS.values()),
+        ids=list(ACYCLIC_AND_CYCLE_GRAPHS),
+    )
+    def test_acyclic_and_cycle_subsets_match_literal(self, graph):
+        for subset in connected_subsets(graph, min_size=2):
+            assert_search_matches_literal(graph, subset)
+
+    @pytest.mark.parametrize("cyclicity", [0.0, 0.4])
+    @pytest.mark.parametrize("n", range(6, 10))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_random_subsets_match_literal(self, seed, n, cyclicity):
+        graph = random_connected_graph(n, cyclicity, seed)
+        for subset in connected_subsets(graph, min_size=2):
+            assert_search_matches_literal(graph, subset)
+
     def test_size3_tweak_stays_literal(self):
         graph = clique(5)
         for subset in connected_subsets(graph, min_size=2):
             expected = run(MinCutLazy(size3_tweak=True), graph, subset)
             assert run(MinCutLazySearch(size3_tweak=True), graph, subset) == expected
 
-    def test_clique_builds_no_tree(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
-
-        build = mincut_lazy.build_bcc_tree
-        monkeypatch.setattr(mincut_lazy, "build_bcc_tree", counting)
+    def test_clique_builds_no_tree(self, tree_builds):
         _, metrics = run(MinCutLazySearch(), clique(8))
-        assert calls == [] and metrics.bcc_trees_built == 2 ** 6
+        assert tree_builds == [] and metrics.bcc_trees_built == 2 ** 6
         run(MinCutLazySearch(), cycle(8))
-        assert calls
+        assert tree_builds
+
+    @pytest.mark.parametrize(
+        "graph",
+        [star(8), chain(9), random_connected_graph(9, 0.0, 2)],
+        ids=["star8", "chain9", "random_tree9"],
+    )
+    def test_acyclic_builds_no_tree(self, tree_builds, graph):
+        """No expression of a tree query builds a tree; each counts one."""
+        assert graph.edge_count() == graph.n - 1
+        for subset in connected_subsets(graph, min_size=2):
+            _, metrics = run(MinCutLazySearch(), graph, subset)
+            assert metrics.bcc_trees_built == 1
+        assert tree_builds == []
+        run(MinCutLazySearch(), cycle(8))
+        assert tree_builds
 
     def test_registry_searches_with_them(self):
         query = make_query("clique", 5)
