@@ -11,7 +11,7 @@ from repro.cost.io_model import CostModel
 from repro.obs.registry import TIME_BETWEEN_JOINS, MetricsRegistry
 from repro.obs.timing import clock
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.plans.physical import Plan
+from repro.plans.physical import INFINITY, Plan
 from repro.spaces import PlanSpace
 
 __all__ = ["BottomUpOptimizer"]
@@ -104,20 +104,19 @@ class BottomUpOptimizer(ABC):
 
         Both masks must already have plans in the table.  The methods are
         costed through the same batch kernel row as the top-down search
-        loop, and a plan node is built only for an improvement.
+        loop; the first method with the lowest total wins, and its plan
+        node is built only if it beats the table's incumbent.
         """
         left_plan = self.plans[left]
         right_plan = self.plans[right]
-        combined = left | right
-        incumbent = self.plans.get(combined)
         child_cost = left_plan.cost + right_plan.cost
         metrics = self.metrics
         metrics.logical_joins_enumerated += 1
         operator_costs = self._batch.row(left, right)
-        for method, operator_cost in zip(
-            self.cost_model.JOIN_METHODS, operator_costs
-        ):
-            metrics.join_operators_costed += 1
+        metrics.join_operators_costed += len(operator_costs)
+        winner = 0
+        best_total = INFINITY
+        for index, operator_cost in enumerate(operator_costs):
             if self._h_join_gap is not None:
                 # First observation is a zero gap so that
                 # histogram.count == join_operators_costed (see the
@@ -128,13 +127,21 @@ class BottomUpOptimizer(ABC):
                 else:
                     self._h_join_gap.observe(0.0)
                 self._last_join_at = now
-            # Same addition order as `build_join`, so the test is exact.
+            # Same addition order as `join_node`, so `total` is the cost
+            # the winner's node will carry and the tests are exact.
             total = child_cost + operator_cost
-            if incumbent is None or total < incumbent.cost:
-                incumbent = self._batch.join(
-                    method, left_plan, right_plan, operator_cost
-                )
-        self.plans[combined] = incumbent
+            if total < best_total:
+                winner = index
+                best_total = total
+        combined = left | right
+        incumbent = self.plans.get(combined)
+        if incumbent is None or best_total < incumbent.cost:
+            self.plans[combined] = self._batch.join(
+                self.cost_model.JOIN_METHODS[winner],
+                left_plan,
+                right_plan,
+                operator_costs[winner],
+            )
 
     @abstractmethod
     def _run(self) -> None:

@@ -2,10 +2,9 @@
 
 The enumerator's candidate scan (``TopDownEnumerator._calc_best_join``)
 costs each ``(left, right)`` partition through one :class:`BatchCostKernel`
-row instead of one scalar model call per join method, and builds a plan
-node, through :meth:`BatchCostKernel.join`, only for a candidate that
-beats the incumbent.  :func:`batch_kernel` picks the kernel by the
-*exact* cost model type:
+row instead of one scalar model call per join method, and builds one
+plan node, through :meth:`BatchCostKernel.join`, for the scan's winner.
+:func:`batch_kernel` picks the kernel by the *exact* cost model type:
 
 * :class:`~repro.cost.io_model.CostModel` (the textbook I/O model) —
   :class:`IoKernel`: the bnl/hash/smj formulas evaluated over per-subset

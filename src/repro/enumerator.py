@@ -25,8 +25,11 @@ predicted-prune test (``bound >= best`` vs. ``bound > min(budget,
 best)``) and whether a child's budget is capped by the incumbent.  Each
 candidate's join methods are costed in one
 :class:`~repro.cost.batch.BatchCostKernel` row, equal to the scalar
-model bit for bit, and a plan node is built only for a candidate that
-beats the incumbent.
+model bit for bit.  The scan keeps its incumbent as ``(method, left
+plan, right plan, operator cost)`` and builds the winner's plan node
+once, when it ends: one node per join expansion that returns a plan.
+Only the anytime root watch builds each improvement at once, so an
+interrupted search keeps it.
 
 A join expansion that fails its budget leaves its *candidate frontier*
 (:class:`~repro.memo.Frontier`: every partition in strategy order with
@@ -735,6 +738,8 @@ class TopDownEnumerator:
                 pairs = profiled_iter(
                     self.profiler, self.partition.kernel, pairs, op="partitions"
                 )
+        # The scan's incumbent join, built into a node once the scan ends.
+        pending: tuple[JoinMethod, Plan, Plan, float] | None = None
         partitions_seen = 0
         at = -stride
         bound = 0.0
@@ -865,15 +870,17 @@ class TopDownEnumerator:
                 for method_index, operator_cost in enumerate(operator_costs):
                     if h_join_gap is not None:
                         note_join_costed()
-                    # Same addition order as `build_join`, so the test is
-                    # exact; the plan node is built only for an improvement.
+                    # Same addition order as `join_node`, so `total` is the
+                    # cost the winner's node will carry and the test is exact.
                     total = child_cost + operator_cost
                     if total < best_cost and total <= budget:
-                        best = join(
+                        best_cost = total
+                        pending = (
                             chosen[method_index], left_plan, right_plan, operator_cost
                         )
-                        best_cost = best.cost
                         if watching:
+                            best = join(*pending)
+                            pending = None
                             self._anytime_best = best
         finally:
             # The scan's own counts land once, when it ends or an anytime
@@ -887,6 +894,8 @@ class TopDownEnumerator:
                 memo_stats.hits += inline_hits + inline_bound_hits
         if self._h_partitions is not None:
             self._h_partitions.observe(partitions_seen)
+        if pending is not None:
+            best = join(*pending)
         return best
 
     def _finish_compute_span(self, started: float) -> float:

@@ -631,12 +631,13 @@ def canonical_expression_key(
 class GlobalPlanCache(MemoTable):
     """A memo shared between queries, keyed by canonical expression.
 
-    Plans are stored with the relation-name → vertex mapping of the query
-    that produced them; on retrieval by a different query, the plan is
-    relabelled into the reader's vertex numbering.  Top-down partitioning
-    search tolerates missing or evicted cells, so the cache can use any
-    eviction policy — including the cost-aware ones, whose weights are
-    computed from the *writing* query's statistics.
+    Plans are stored in the vertex numbering of the query that produced
+    them; on retrieval by a different query, the plan is relabelled into
+    the reader's numbering through the relation names of its scans.
+    Top-down partitioning search tolerates missing or evicted cells, so
+    the cache can use any eviction policy — including the cost-aware
+    ones, whose weights are computed from the *writing* query's
+    statistics.
 
     Beyond serving directly as an enumerator's memo, the cache acts as
     the read-through/write-through backing tier of per-query
@@ -667,7 +668,6 @@ class GlobalPlanCache(MemoTable):
             cold_capacity=cold_capacity,
             profile=profile,
         )
-        self._name_maps: dict[Hashable, dict[str, int]] = {}
         self._lock = threading.RLock()
 
     def key_for(self, query: Query, subset: int, order: int | None) -> Hashable:
@@ -712,7 +712,6 @@ class GlobalPlanCache(MemoTable):
     def clear(self) -> None:
         with self._lock:
             super().clear()
-            self._name_maps.clear()
 
     def store_plan(
         self,
@@ -723,12 +722,9 @@ class GlobalPlanCache(MemoTable):
         *,
         compute_seconds: float | None = None,
     ) -> None:
-        """Store a plan along with the writer's name -> vertex mapping."""
+        """Store a plan under its canonical expression key."""
         with self._lock:
             key = self.key_for(query, subset, order)
-            self._name_maps[key] = {
-                query.relations[v].name: v for v in iter_bits(subset)
-            }
             weight = None
             if self._track_weights:
                 weight = self._weight_for(query, subset, order, compute_seconds)

@@ -11,7 +11,7 @@ key" — see :mod:`repro.cost.io_model`).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.bitset import iter_bits
@@ -28,21 +28,46 @@ PlanWire = tuple[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Plan:
     """One node of a physical plan tree.
 
     ``op`` names the physical operator (``scan``, ``bnl``, ``smj``,
     ``hash``, ``sort``); ``relation`` is set on scans only.
+
+    The search builds one node per solved expression, so construction is
+    on its hot path: ``__init__`` writes each field through its slot's
+    member descriptor instead of the seven ``object.__setattr__`` calls a
+    generated frozen ``__init__`` makes.  Assigning a field still raises
+    :class:`dataclasses.FrozenInstanceError`, and equality, hashing,
+    ``repr`` and pickling are the dataclass's own.
     """
 
     op: str
     vertices: int
     cost: float
     cardinality: float
-    order: Optional[int] = None
-    relation: Optional[str] = None
-    children: tuple["Plan", ...] = field(default=())
+    order: Optional[int]
+    relation: Optional[str]
+    children: tuple["Plan", ...]
+
+    def __init__(
+        self,
+        op: str,
+        vertices: int,
+        cost: float,
+        cardinality: float,
+        order: Optional[int] = None,
+        relation: Optional[str] = None,
+        children: tuple["Plan", ...] = (),
+    ) -> None:
+        _set_op(self, op)
+        _set_vertices(self, vertices)
+        _set_cost(self, cost)
+        _set_cardinality(self, cardinality)
+        _set_order(self, order)
+        _set_relation(self, relation)
+        _set_children(self, children)
 
     @property
     def left(self) -> Optional["Plan"]:
@@ -179,6 +204,17 @@ class Plan:
         if self.op == "sort":
             return f"sort({self.children[0].sql_like()})"
         return f"({self.children[0].sql_like()} ⋈ {self.children[1].sql_like()})"
+
+
+# Slot writers for `Plan.__init__`, bound once: a member descriptor's
+# `__set__` stores into the slot without passing the frozen `__setattr__`.
+_set_op = Plan.__dict__["op"].__set__
+_set_vertices = Plan.__dict__["vertices"].__set__
+_set_cost = Plan.__dict__["cost"].__set__
+_set_cardinality = Plan.__dict__["cardinality"].__set__
+_set_order = Plan.__dict__["order"].__set__
+_set_relation = Plan.__dict__["relation"].__set__
+_set_children = Plan.__dict__["children"].__set__
 
 
 def plan_cost(plan: Optional[Plan]) -> float:

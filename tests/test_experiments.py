@@ -4,7 +4,7 @@ series, and key paper-shape claims hold at small scale."""
 import pytest
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.common import ExperimentResult, graph_maker
+from repro.experiments.common import ExperimentResult, graph_maker, seed_for
 from repro.experiments.memory import THRESHOLDS, required_cells
 from repro.registry import make_optimizer
 from repro.workloads import chain, cycle, star, weighted_query
@@ -264,6 +264,24 @@ class TestTable2:
             / by_space["Bushy with CPs"]["TBCnaive"][cell]
         )
         assert cp_ratio < 0.8
+
+    @pytest.mark.parametrize("seed", [seed_for(8, 0, 977), 1, 2, 3])
+    def test_cp_pruning_stronger_at_largest_size_in_work(self, seed):
+        """Deterministic companion of the wall-time ratio above: on star-8,
+        predicted-cost pruning costs under half of bushy-with-CPs'
+        exhaustive join operators, and prunes a larger share of them than
+        it does in the bushy CP-free space.  The first seed is the weights
+        seed of Table 2's own star-8 cell."""
+        query = weighted_query(star(8), seed)
+        costed = {}
+        for name in ("TBCnaive", "TBCnaiveP", "TBNmc", "TBNmcP"):
+            optimizer = make_optimizer(name, query)
+            optimizer.optimize()
+            costed[name] = optimizer.metrics.join_operators_costed
+        cp_ratio = costed["TBCnaiveP"] / costed["TBCnaive"]
+        cp_free_ratio = costed["TBNmcP"] / costed["TBNmc"]
+        assert cp_ratio < 0.5, costed
+        assert cp_ratio < cp_free_ratio, costed
 
 
 class TestRegressionGate:

@@ -370,8 +370,8 @@ class TestRepoGate:
         idx = source.index("class GlobalPlanCache")
         insert_at = source.index("\n    def ", idx)
         injected = (
-            "\n    def racy_poke(self, key, names):\n"
-            "        self._name_maps[key] = names\n"
+            "\n    def racy_poke(self, track):\n"
+            "        self._track_weights = track\n"
         )
         copy.write_text(source[:insert_at] + injected + source[insert_at:])
         report = lint_paths([str(copy)], select=["flow-*"])

@@ -189,11 +189,18 @@ class TestConcurrentAccess:
             assert results[index], "thread recorded no results"
             assert all(cost == pytest.approx(cold.cost) for cost in results[index])
 
-    def test_clear_drops_name_maps(self):
+    def test_clear_empties_cache_and_later_lookup_misses(self):
         cache = GlobalPlanCache()
         q1 = make_chain_query(["A", "B", "C"], CARDS)
         TopDownEnumerator(q1, MinCutLazy(), memo=cache).optimize()
-        assert cache._name_maps
+        root = q1.graph.all_vertices
+        assert len(cache) > 0
+        assert cache.get(q1, root, None) is not None
         cache.clear()
-        assert not cache._name_maps
         assert len(cache) == 0
+        assert cache.get(q1, root, None) is None
+        # A rerun finds nothing to reuse: it expands what a cold run does.
+        rerun, cold = Metrics(), Metrics()
+        TopDownEnumerator(q1, MinCutLazy(), memo=cache, metrics=rerun).optimize()
+        TopDownEnumerator(q1, MinCutLazy(), metrics=cold).optimize()
+        assert rerun.expressions_expanded == cold.expressions_expanded == 3

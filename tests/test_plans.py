@@ -1,5 +1,8 @@
 """Tests for plan trees and plan validation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.catalog import Query
@@ -78,6 +81,55 @@ class TestPlanTree:
         assert dot.startswith("digraph plan {") and dot.endswith("}")
         assert dot.count("->") == 4  # two joins, three scans: four edges
         assert "R2" in dot
+
+
+class TestPlanValue:
+    """``Plan`` is a frozen, slotted value: its hand-written ``__init__``
+    must not cost it any of the dataclass semantics."""
+
+    def test_assignment_raises(self, query):
+        plan = build_plan(query, (0, 1))
+        for field in dataclasses.fields(Plan):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, field.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(plan, field.name)
+        # A slotted instance has nowhere to put a new attribute; the
+        # generated frozen `__setattr__` of Python 3.11 reports that as a
+        # TypeError rather than a FrozenInstanceError.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            plan.extra = 1
+        assert plan == build_plan(query, (0, 1))
+
+    def test_no_instance_dict(self, query):
+        plan = build_plan(query, (0, 1))
+        assert not hasattr(plan, "__dict__")
+        assert Plan.__slots__ == tuple(f.name for f in dataclasses.fields(Plan))
+
+    def test_defaults_and_keywords(self):
+        plan = Plan("scan", 0b1, 2.0, 10.0)
+        assert (plan.order, plan.relation, plan.children) == (None, None, ())
+        assert plan == Plan(op="scan", vertices=1, cost=2.0, cardinality=10.0)
+        assert plan.is_scan
+
+    def test_equality_and_hash_by_value(self, query):
+        one = build_plan(query, ((0, 1), 2))
+        two = build_plan(query, ((0, 1), 2))
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+        other = build_plan(query, (0, (1, 2)))
+        assert one != other
+        assert dataclasses.replace(one, cost=one.cost + 1) != one
+        assert repr(one).startswith("Plan(op='hash', vertices=7, cost=")
+
+    def test_pickle_and_wire_round_trip(self, query):
+        plan = build_plan(query, ((0, 1), 2))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(plan, protocol))
+            assert copy == plan and hash(copy) == hash(plan)
+        assert Plan.from_wire(plan.to_wire()) == plan
+        assert Plan.from_wire(plan.to_wire()).to_wire() == plan.to_wire()
 
 
 class TestShapePredicates:
