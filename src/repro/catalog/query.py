@@ -14,7 +14,15 @@ from collections.abc import Sequence
 from repro.catalog.stats import Catalog, JoinPredicate, Relation
 from repro.core.joingraph import JoinGraph
 
-__all__ = ["Query"]
+__all__ = ["KeySignature", "Query"]
+
+#: ``(relations, predicates)``: ``(bit, (name, cardinality,
+#: tuples_per_page))`` per relation in name order, and ``(mask, (name_a,
+#: name_b, selectivity))`` per predicate in ``(name_a, name_b)`` order.
+KeySignature = tuple[
+    tuple[tuple[int, tuple[str, float, int]], ...],
+    tuple[tuple[int, tuple[str, str, float]], ...],
+]
 
 
 class Query:
@@ -36,6 +44,7 @@ class Query:
         "selectivity",
         "_cardinality_cache",
         "_edge_items",
+        "_key_signature",
         "_log_cards",
         "_log_edges",
         "_packing",
@@ -59,6 +68,13 @@ class Query:
         extra = [k for k in selectivity if not graph.has_edge(*k)]
         if extra:
             raise ValueError(f"selectivities given for non-edges {extra}")
+        # Plan-cache keys and cross-query relabelling identify relations
+        # by name, so a name must pick out one vertex.
+        seen: set[str] = set()
+        for r in relations:
+            if r.name in seen:
+                raise ValueError(f"duplicate relation name {r.name!r}")
+            seen.add(r.name)
         self.graph = graph
         self.relations = tuple(relations)
         self.selectivity = dict(selectivity)
@@ -81,6 +97,7 @@ class Query:
             for (u, v), s in sorted(self.selectivity.items())
         )
         self._packing = tuple(r.tuples_per_page for r in self.relations)
+        self._key_signature: KeySignature | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -197,6 +214,32 @@ class Query:
                     tuples_per_page = candidate
                 rest ^= low
         return max(1.0, card / tuples_per_page)
+
+    def key_signature(self) -> KeySignature:
+        """The name-ordered tables canonical expression keys are cut from.
+
+        Built on first use and kept: the cross-query plan cache keys every
+        probe and store of a query from it (see
+        :func:`~repro.memo.canonical_expression_key`).  Names are unique,
+        so name order is a total order of relations, and ``name_a <
+        name_b`` pairs are a total order of predicates.
+        """
+        signature = self._key_signature
+        if signature is None:
+            names = [r.name for r in self.relations]
+            relations = sorted(
+                (r.name, 1 << v, (r.name, r.cardinality, r.tuples_per_page))
+                for v, r in enumerate(self.relations)
+            )
+            predicates = sorted(
+                (*sorted((names[u], names[v])), 1 << u | 1 << v, sel)
+                for (u, v), sel in self.selectivity.items()
+            )
+            signature = self._key_signature = (
+                tuple((bit, atoms) for _, bit, atoms in relations),
+                tuple((mask, (a, b, sel)) for a, b, mask, sel in predicates),
+            )
+        return signature
 
     def relation_name(self, v: int) -> str:
         """Name of the relation at vertex ``v``."""

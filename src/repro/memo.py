@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional
 
 from repro.analysis.metrics import Metrics
-from repro.core.bitset import iter_bits
 from repro.cache.coldtier import ColdTier
 from repro.cache.costing import CostProfile, logical_cost_proxy
 from repro.cache.policies import POLICY_NAMES, make_policy
@@ -78,7 +77,7 @@ class Frontier(NamedTuple):
     costs: "array[float]"
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoEntry:
     """One populated memo cell: an optimal plan or a failed-budget bound.
 
@@ -610,22 +609,32 @@ def canonical_expression_key(
     Keys by the *names and statistics* of the relations plus the internal
     predicate signature, so that the same logical expression appearing in
     two different queries (possibly under different vertex numberings)
-    maps to the same cell.  The order token is translated to the relation
-    name it refers to.
+    maps to the same cell.  The key is one flat tuple of atoms, cut from
+    the query's :meth:`~repro.catalog.query.Query.key_signature`:
+
+    1. ``name, cardinality, tuples_per_page`` of each relation in
+       ``subset``, in name order;
+    2. ``None``, ending the relations (a name is never ``None``);
+    3. ``name_a, name_b, selectivity`` of each predicate internal to
+       ``subset``, in ``(name_a, name_b)`` order;
+    4. the name of the order's relation, or ``None``.
+
+    Names are unique within a query, so two keys are equal exactly when
+    their relation and predicate sets and order names are.  A tuple of
+    atoms is one allocation, and the cyclic collector stops tracking it
+    at its first collection.
     """
-    names: list[tuple[str, float, int]] = []
-    for v in iter_bits(subset):
-        r = query.relations[v]
-        names.append((r.name, r.cardinality, r.tuples_per_page))
-    predicates: list[tuple[str, str, float]] = []
-    for (u, v), sel in query.selectivity.items():
-        if subset >> u & 1 and subset >> v & 1:
-            a, b = query.relations[u].name, query.relations[v].name
-            if a > b:
-                a, b = b, a
-            predicates.append((a, b, sel))
-    order_name = None if order is None else query.relations[order].name
-    return (frozenset(names), frozenset(predicates), order_name)
+    relations, predicates = query.key_signature()
+    key = [atom for bit, atoms in relations if subset & bit for atom in atoms]
+    key.append(None)
+    key += [
+        atom
+        for mask, atoms in predicates
+        if subset & mask == mask
+        for atom in atoms
+    ]
+    key.append(None if order is None else query.relations[order].name)
+    return tuple(key)
 
 
 class GlobalPlanCache(MemoTable):
@@ -671,7 +680,8 @@ class GlobalPlanCache(MemoTable):
         self._lock = threading.RLock()
 
     def key_for(self, query: Query, subset: int, order: int | None) -> Hashable:
-        """Key by canonical logical expression (relation names + predicates)."""
+        """Key by canonical logical expression: a flat tuple of relation
+        and predicate statistics in name order."""
         return canonical_expression_key(query, subset, order)
 
     # -- concurrency --------------------------------------------------------------
@@ -754,22 +764,30 @@ class GlobalPlanCache(MemoTable):
         return None
 
     def plan_for_query(self, query: Query, entry: MemoEntry) -> Optional[Plan]:
-        """Relabel the stored plan into the reading query's numbering."""
-        if entry.plan is None:
+        """Relabel the stored plan into the reading query's numbering.
+
+        A reader that numbers the plan's relations as its writer did (a
+        re-sent query, say) gets the stored plan itself: plans are
+        immutable, and relabelling through the identity copies it.
+        """
+        plan = entry.plan
+        if plan is None:
             return None
         name_to_reader_vertex = {
             query.relations[v].name: v for v in range(query.n)
         }
         # Writer vertex -> reader vertex, via relation names.
         mapping: dict[int, int] = {}
-        for node in entry.plan.iter_nodes():
+        for node in plan.iter_nodes():
             if node.is_scan and node.relation is not None:
                 writer_v = node.vertices.bit_length() - 1
                 reader_v = name_to_reader_vertex.get(node.relation)
                 if reader_v is None:
                     return None  # relation unknown to this query
                 mapping[writer_v] = reader_v
+        if all(writer_v == reader_v for writer_v, reader_v in mapping.items()):
+            return plan
         try:
-            return entry.plan.relabel(mapping)
+            return plan.relabel(mapping)
         except KeyError:
             return None

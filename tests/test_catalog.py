@@ -118,6 +118,11 @@ class TestQuery:
         with pytest.raises(ValueError):
             Query(chain(3), rels, {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5})
 
+    def test_duplicate_relation_name_rejected(self):
+        rels = [Relation("A", 10), Relation("B", 20), Relation("A", 30)]
+        with pytest.raises(ValueError, match="duplicate relation name 'A'"):
+            Query(chain(3), rels, {(0, 1): 0.5, (1, 2): 0.5})
+
     def test_predicates_roundtrip(self):
         q = Query.uniform(star(4), selectivity=0.25)
         preds = q.predicates()

@@ -55,6 +55,19 @@ class TestExperimentRegistry:
         assert set(EXPERIMENTS) == expected
 
 
+def test_shared_cache_rows_pinned():
+    """Cross-query reuse on chain prefixes: the k-th query finds every
+    expression of the (k-1)-prefix in the shared cache, so its hits are
+    the (k-1)-chain's connected subsets and the cache holds the k-chain's."""
+    rows = EXPERIMENTS["shared-cache"]("small").rows
+    assert [row["k"] for row in rows] == list(range(4, 11))
+    assert [row["shared_hits"] for row in rows] == [0, 10, 15, 21, 28, 36, 45]
+    assert [row["cache_cells"] for row in rows] == [10, 15, 21, 28, 36, 45, 55]
+    assert [row["cold_joins"] for row in rows] == [60, 120, 210, 336, 504, 720, 990]
+    assert [row["shared_joins"] for row in rows] == [60, 60, 90, 126, 168, 216, 270]
+    assert all(row["same_plan"] for row in rows)
+
+
 @pytest.fixture(scope="module")
 def fig2():
     return EXPERIMENTS["fig2"]("small")

@@ -5,9 +5,13 @@ import weakref
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import Metrics
 from repro.catalog import Catalog, Query
+from repro.catalog.stats import Relation
+from repro.core.joingraph import JoinGraph
 from repro.cost.io_model import CostModel
 from repro.memo import (
     Frontier,
@@ -143,10 +147,15 @@ class TestGlobalPlanCache:
         bc = model.build_join(q1, model.JOIN_METHODS[1], b1, c1)
         cache.store_plan(q1, 0b110, None, bc)
 
+        # The writer reads back the stored plan itself: no relabel.
+        own = cache.get(q1, 0b110, None)
+        assert cache.plan_for_query(q1, own) is own.plan
+
         entry = cache.get(q2, 0b011, None)
         assert entry is not None
         plan = cache.plan_for_query(q2, entry)
         assert plan is not None
+        assert plan is not entry.plan
         assert plan.vertices == 0b011  # remapped into Q2's numbering
         assert plan.cost == bc.cost
         assert sorted(plan.leaf_relations()) == ["B", "C"]
@@ -166,6 +175,110 @@ class TestGlobalPlanCache:
         key1 = canonical_expression_key(q1, 0b110, 1)  # order on B (vertex 1 in Q1)
         key2 = canonical_expression_key(q2, 0b011, 0)  # order on B (vertex 0 in Q2)
         assert key1 == key2
+
+    def test_stored_keys_are_untracked_by_the_collector(self):
+        q1, q2 = two_overlapping_queries()
+        cache = GlobalPlanCache()
+        model = CostModel()
+        for query in (q1, q2):
+            for v in range(query.n):
+                [plan] = model.scan_plans(query, 1 << v, None)
+                cache.store_plan(query, 1 << v, v, plan)
+        cache.store_plan(q1, 0b110, None, model.build_join(
+            q1, model.JOIN_METHODS[1], *(
+                model.scan_plans(q1, 1 << v, None)[0] for v in (1, 2)
+            )
+        ))
+        gc.collect()
+        assert len(cache) == 5
+        assert not any(gc.is_tracked(key) for key in cache.keys())
+
+
+def _reference_key(query, subset, order):
+    """The frozenset form of a canonical expression key, which flat keys
+    must reproduce equality for exactly."""
+    names = frozenset(
+        (r.name, r.cardinality, r.tuples_per_page)
+        for v, r in enumerate(query.relations)
+        if subset >> v & 1
+    )
+    predicates = frozenset(
+        (*sorted((query.relations[u].name, query.relations[v].name)), sel)
+        for (u, v), sel in query.selectivity.items()
+        if subset >> u & 1 and subset >> v & 1
+    )
+    order_name = None if order is None else query.relations[order].name
+    return (names, predicates, order_name)
+
+
+@st.composite
+def _named_queries(draw):
+    """Up to five relations named from a small pool, with few distinct
+    statistics, so keys of two draws often coincide."""
+    n = draw(st.integers(1, 5))
+    names = draw(
+        st.lists(st.sampled_from("ABCDEF"), min_size=n, max_size=n, unique=True)
+    )
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    relations = [
+        Relation(
+            name,
+            draw(st.sampled_from([10, 10.0, 100.0])),
+            draw(st.sampled_from([50, 100])),
+        )
+        for name in names
+    ]
+    selectivity = {edge: draw(st.sampled_from([0.1, 0.5])) for edge in edges}
+    return Query(JoinGraph(n, edges), relations, selectivity)
+
+
+def _renumbered(query, perm):
+    """``query`` with vertex ``v`` moved to ``perm[v]``."""
+    relations = [None] * query.n
+    for v, r in enumerate(query.relations):
+        relations[perm[v]] = r
+    selectivity = dict(sorted(
+        (tuple(sorted((perm[u], perm[v]))), sel)
+        for (u, v), sel in query.selectivity.items()
+    ))
+    return Query(JoinGraph(query.n, list(selectivity)), relations, selectivity)
+
+
+def _expressions(query):
+    for subset in range(1, 1 << query.n):
+        yield subset, None
+        for v in range(query.n):
+            if subset >> v & 1:
+                yield subset, v
+
+
+@given(_named_queries(), _named_queries(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_canonical_key_matches_frozenset_reference(q1, q2, rng):
+    """Renumbering a query keeps every expression's key, and two flat
+    keys are equal exactly when their frozenset references are."""
+    perm = list(range(q1.n))
+    rng.shuffle(perm)
+    renumbered = _renumbered(q1, perm)
+    for subset, order in _expressions(q1):
+        moved = 0
+        for v in range(q1.n):
+            if subset >> v & 1:
+                moved |= 1 << perm[v]
+        assert canonical_expression_key(q1, subset, order) == (
+            canonical_expression_key(
+                renumbered, moved, None if order is None else perm[order]
+            )
+        )
+    cells = [
+        (canonical_expression_key(q, subset, order), _reference_key(q, subset, order))
+        for q in (q1, q2)
+        for subset, order in _expressions(q)
+    ]
+    for key_a, ref_a in cells:
+        for key_b, ref_b in cells:
+            assert (key_a == key_b) == (ref_a == ref_b)
 
 
 def _frontier():
