@@ -7,8 +7,8 @@
 3. **Anchor placement for MinCutOptimistic** — hub vs rim anchoring on
    spoked wheels (the Figure 5 worst case).
 4. **Memo eviction policy under pressure** — LRU vs the Section 5.1
-   suggestion of evicting the smallest (cheapest-to-recompute)
-   expression first.
+   suggestion of weighting eviction by the logical description (``cost``:
+   GreedyDual over the logical recompute proxy).
 """
 
 import pytest
@@ -123,22 +123,22 @@ class TestEvictionPolicy:
         plan = optimizer.optimize()
         return plan, metrics
 
-    @pytest.mark.parametrize("policy", ["lru", "smallest"])
+    @pytest.mark.parametrize("policy", ["lru", "cost"])
     def test_policy_benchmark(self, benchmark, policy):
         plan, _ = benchmark(lambda: self._run(policy))
         assert plan.cost > 0
 
     def test_policies_agree_on_optimum(self, scale):
         lru_plan, _ = self._run("lru")
-        smallest_plan, _ = self._run("smallest")
-        assert abs(lru_plan.cost - smallest_plan.cost) < 1e-9 * lru_plan.cost
+        cost_plan, _ = self._run("cost")
+        assert abs(lru_plan.cost - cost_plan.cost) < 1e-9 * lru_plan.cost
 
-    def test_smallest_policy_protects_large_expressions(self, scale):
+    def test_cost_policy_protects_large_expressions(self, scale):
         """Evicting cheap-to-recompute cells should need fewer expansions
         than evicting by recency alone on star queries."""
         _, lru = self._run("lru")
-        _, smallest = self._run("smallest")
+        _, cost = self._run("cost")
         # Not asserted as a strict win (it is workload-dependent), but the
         # policies must at least differ in behaviour and both terminate.
         assert lru.expressions_expanded > 0
-        assert smallest.expressions_expanded > 0
+        assert cost.expressions_expanded > 0

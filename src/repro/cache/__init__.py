@@ -11,18 +11,14 @@ demotion, and cross-query reuse all trade against that price.
 Components
 ----------
 :mod:`repro.cache.costing`
-    Per-cell recompute-cost accounting: a logical proxy (subset size x
-    internal edges x a partition-count factor) that is always available,
-    refined by measured exclusive work when a
-    :class:`~repro.obs.tracer.RecordingTracer` is attached, or replaced
-    wholesale by a :class:`CostProfile` saved from a prior run's trace
-    (the ``repro profile-memo`` CLI step).
+    The per-cell recompute weight: a logical proxy (subset size x
+    internal edges x a partition-count factor), deterministic and the
+    same whether or not a tracer is attached.
 
 :mod:`repro.cache.policies`
-    Pluggable eviction policies behind one interface: the paper's
-    baseline ``lru`` and ``smallest`` plus the cost-aware ``cost``
-    (GreedyDual: score = global inflation + recompute weight) and
-    ``profile`` (GreedyDual driven by offline profile weights).
+    Eviction policies behind one interface: the paper's baseline ``lru``
+    and the cost-aware ``cost`` (GreedyDual: score = global inflation +
+    recompute weight).
 
 :mod:`repro.cache.coldtier`
     A compact second storage tier of wire-format entries
@@ -39,14 +35,12 @@ Components
 """
 
 from repro.cache.coldtier import ColdTier
-from repro.cache.costing import CostProfile, logical_cost_proxy
+from repro.cache.costing import logical_cost_proxy
 from repro.cache.policies import (
     POLICY_NAMES,
     CostPolicy,
     EvictionPolicy,
     LRUPolicy,
-    ProfilePolicy,
-    SmallestPolicy,
     make_policy,
 )
 from repro.cache.stats import CacheStats
@@ -55,12 +49,9 @@ __all__ = [
     "CacheStats",
     "ColdTier",
     "CostPolicy",
-    "CostProfile",
     "EvictionPolicy",
     "LRUPolicy",
     "POLICY_NAMES",
-    "ProfilePolicy",
-    "SmallestPolicy",
     "logical_cost_proxy",
     "make_policy",
 ]

@@ -1,39 +1,20 @@
 """Recompute-cost accounting for memo cells.
 
-Two sources of truth, in increasing fidelity:
-
-* :func:`logical_cost_proxy` — always available, computed from the
-  logical description alone (Section 5.1 suggests exactly this kind of
-  weighting): subset size x internal join edges x a partition-count
-  factor.  Deterministic, so eviction decisions driven by it are
-  reproducible run-to-run.
-* :class:`CostProfile` — per-expression *exclusive* work lifted from a
-  recorded span trace (PR 1's :class:`~repro.obs.tracer.RecordingTracer`
-  attributes every counter and wall clock to the expression that spent
-  it, descendants subtracted out).  Saved by ``repro profile-memo`` and
-  loaded into a ``profile``-policy memo for the next run, this replaces
-  the proxy with what recomputing the cell actually cost last time.
-
-Profiles default to the ``work`` metric — the summed exclusive operation
-counters (partitions emitted, join operators costed, connectivity
-probes, ...) — because it is machine-independent and deterministic; the
-``time`` metric uses exclusive wall microseconds for cases where the
-real clock is what matters.
+:func:`logical_cost_proxy` prices a cell from the logical description
+alone (Section 5.1 suggests exactly this kind of weighting): subset size
+x internal join edges x a partition-count factor.  It is the one weight
+source: deterministic, so eviction decisions driven by it reproduce
+run-to-run, with or without a tracer attached.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, TYPE_CHECKING, Any, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.catalog.query import Query
-    from repro.obs.tracer import RecordingTracer
 
-__all__ = ["CostProfile", "logical_cost_proxy", "profile_key"]
-
-#: Profile weight metrics: deterministic counter work vs. wall time.
-METRICS = ("work", "time")
+__all__ = ["logical_cost_proxy"]
 
 
 def logical_cost_proxy(
@@ -63,141 +44,3 @@ def logical_cost_proxy(
     if order is not None:
         weight += 1.0
     return weight
-
-
-def profile_key(subset: int, order: Optional[int]) -> str:
-    """JSON-safe key for one ``(subset, order)`` expression."""
-    return f"{subset}:{'-' if order is None else order}"
-
-
-def _parse_profile_key(key: str) -> tuple[int, Optional[int]]:
-    subset_text, _, order_text = key.partition(":")
-    order = None if order_text in ("-", "") else int(order_text)
-    return int(subset_text), order
-
-
-class CostProfile:
-    """Offline per-expression recompute weights for the ``profile`` policy.
-
-    A thin mapping ``(subset, order) -> weight`` with JSON persistence.
-    Weights are *summed* over all spans covering the same expression
-    (under eviction an expression is recomputed several times; its total
-    exclusive work is precisely the price paid for not caching it).
-    """
-
-    def __init__(
-        self,
-        weights: Optional[dict[tuple[int, Optional[int]], float]] = None,
-        *,
-        metric: str = "work",
-    ) -> None:
-        if metric not in METRICS:
-            raise ValueError(f"unknown profile metric {metric!r}; use one of {METRICS}")
-        self.metric = metric
-        self._weights: dict[tuple[int, Optional[int]], float] = dict(weights or {})
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def __contains__(self, key: tuple[int, Optional[int]]) -> bool:
-        return key in self._weights
-
-    def lookup(self, subset: int, order: Optional[int] = None) -> Optional[float]:
-        """Profiled weight for an expression, or None if never traced."""
-        return self._weights.get((subset, order))
-
-    def add(self, subset: int, order: Optional[int], weight: float) -> None:
-        """Accumulate ``weight`` onto one expression's entry."""
-        key = (subset, order)
-        self._weights[key] = self._weights.get(key, 0.0) + weight
-
-    # -- building from traces ---------------------------------------------------
-
-    @classmethod
-    def from_tracer(
-        cls, tracer: "RecordingTracer", *, metric: str = "work"
-    ) -> "CostProfile":
-        """Build a profile from an in-process :class:`RecordingTracer`.
-
-        ``work``: the span's exclusive counter deltas summed (already
-        descendant-subtracted by the tracer).  ``time``: the span's wall
-        time minus its children's (exclusive microseconds).
-        """
-        profile = cls(metric=metric)
-        for span in tracer.spans():
-            if metric == "work":
-                weight = float(sum(span.counters.values()))
-            else:
-                child_time = sum(child.elapsed for child in span.children)
-                weight = max(0.0, span.elapsed - child_time) * 1e6
-            if weight > 0:
-                profile.add(span.subset, span.order, weight)
-        return profile
-
-    @classmethod
-    def from_trace_records(
-        cls, records: Iterable[dict[str, Any]], *, metric: str = "work"
-    ) -> "CostProfile":
-        """Build a profile from JSONL span dicts (``repro --trace-out``)."""
-        rows = list(records)
-        profile = cls(metric=metric)
-        if metric == "time":
-            elapsed_by_id = {row["span_id"]: row.get("elapsed_us", 0.0) for row in rows}
-            for row in rows:
-                child_time = sum(
-                    elapsed_by_id.get(child, 0.0) for child in row.get("children", ())
-                )
-                weight = max(0.0, row.get("elapsed_us", 0.0) - child_time)
-                if weight > 0:
-                    profile.add(row["subset"], row.get("order"), weight)
-        else:
-            for row in rows:
-                weight = float(sum(row.get("counters", {}).values()))
-                if weight > 0:
-                    profile.add(row["subset"], row.get("order"), weight)
-        return profile
-
-    @classmethod
-    def from_trace_file(cls, path: str, *, metric: str = "work") -> "CostProfile":
-        """Build a profile from a span-trace JSONL file."""
-        with open(path, encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
-        return cls.from_trace_records(records, metric=metric)
-
-    # -- persistence ------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (``repro profile-memo`` output)."""
-        return {
-            "version": 1,
-            "metric": self.metric,
-            "weights": {
-                profile_key(subset, order): weight
-                for (subset, order), weight in sorted(
-                    self._weights.items(), key=lambda item: (item[0][0], str(item[0][1]))
-                )
-            },
-        }
-
-    def save(self, destination: Union[str, IO[str]]) -> None:
-        """Write the profile as JSON to a path or open file."""
-        payload = json.dumps(self.to_dict(), indent=2)
-        if isinstance(destination, str):
-            with open(destination, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-        else:
-            destination.write(payload + "\n")
-
-    @classmethod
-    def load(cls, source: Union[str, IO[str]]) -> "CostProfile":
-        """Read a profile written by :meth:`save`."""
-        if isinstance(source, str):
-            with open(source, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        else:
-            payload = json.load(source)
-        weights = {
-            _parse_profile_key(key): float(weight)
-            for key, weight in payload.get("weights", {}).items()
-        }
-        return cls(weights, metric=payload.get("metric", "work"))

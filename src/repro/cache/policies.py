@@ -1,13 +1,12 @@
 """Eviction policies for capacity-bounded memo tables.
 
 The paper's experiments evict by recency (``lru``); Section 5.1 suggests
-weighting eviction by the logical description instead (``smallest``).
-The cost-aware policies go further: ``cost`` scores every cell
-GreedyDual-style — a monotonically rising global *inflation* value plus
-the cell's recompute weight — so cheap-to-recompute cells age out first
-while expensive cells survive unless untouched for a long time;
-``profile`` runs the same mechanism on offline weights from a prior
-run's trace (:class:`~repro.cache.costing.CostProfile`).
+weighting eviction by the logical description instead.  ``cost`` does
+that GreedyDual-style: every cell scores a monotonically rising global
+*inflation* value plus its recompute weight
+(:func:`~repro.cache.costing.logical_cost_proxy`), so cheap-to-recompute
+cells age out first while expensive cells survive unless untouched for a
+long time.
 
 A policy never owns the cells: the :class:`~repro.memo.MemoTable` keeps
 its ``OrderedDict`` and per-key weights, and the policy is consulted on
@@ -24,23 +23,21 @@ from typing import Any, Callable, Hashable
 __all__ = [
     "EvictionPolicy",
     "LRUPolicy",
-    "SmallestPolicy",
     "CostPolicy",
-    "ProfilePolicy",
     "POLICY_NAMES",
     "make_policy",
 ]
 
 #: Every selectable policy name, in documentation order.
-POLICY_NAMES = ("lru", "smallest", "cost", "profile")
+POLICY_NAMES = ("lru", "cost")
 
 
 class EvictionPolicy:
     """Victim-selection strategy consulted by :class:`~repro.memo.MemoTable`.
 
     ``uses_weights`` tells the table whether to maintain per-cell
-    recompute weights (measured seconds, profile entries, or the logical
-    proxy) — recency-only policies skip that bookkeeping entirely.
+    recompute weights — recency-only policies skip that bookkeeping
+    entirely.
     """
 
     name: str = "?"
@@ -81,26 +78,6 @@ class LRUPolicy(EvictionPolicy):
 
     def choose_victim(self, cells: OrderedDict[Hashable, Any]) -> Hashable:
         return next(iter(cells))
-
-
-class SmallestPolicy(EvictionPolicy):
-    """Section 5.1's suggestion: evict the smallest expression first.
-
-    Small expressions are the cheapest to recompute; the weight is read
-    straight off the key (popcount of the subset mask, ties toward the
-    numerically smallest mask), so no per-cell bookkeeping is needed.
-    """
-
-    name = "smallest"
-
-    @staticmethod
-    def _key_weight(key: Hashable) -> tuple[int, int]:
-        if isinstance(key, tuple) and key and isinstance(key[0], int):
-            return (key[0].bit_count(), key[0])
-        return (0, 0)
-
-    def choose_victim(self, cells: OrderedDict[Hashable, Any]) -> Hashable:
-        return min(cells, key=self._key_weight)
 
 
 class CostPolicy(EvictionPolicy):
@@ -149,22 +126,7 @@ class CostPolicy(EvictionPolicy):
         self._inflation = 0.0
 
 
-class ProfilePolicy(CostPolicy):
-    """GreedyDual over offline profile weights.
-
-    Identical mechanism to :class:`CostPolicy`; the difference is the
-    weight source resolved by the table — a
-    :class:`~repro.cache.costing.CostProfile` from a prior traced run,
-    falling back to the logical proxy for expressions the trace never
-    visited (e.g. a profile recorded on a different seed).
-    """
-
-    name = "profile"
-
-
-_POLICY_CLASSES = {
-    cls.name: cls for cls in (LRUPolicy, SmallestPolicy, CostPolicy, ProfilePolicy)
-}
+_POLICY_CLASSES = {cls.name: cls for cls in (LRUPolicy, CostPolicy)}
 
 
 def make_policy(name: str) -> EvictionPolicy:

@@ -21,8 +21,7 @@ class CacheStats:
     """Counters for one memo table's cache behaviour.
 
     ``recompute_cost_saved`` accumulates the recompute weight (see
-    :func:`repro.cache.costing.logical_cost_proxy`; microsecond-scale
-    when measured/profiled weights are in play) of every cell served
+    :func:`repro.cache.costing.logical_cost_proxy`) of every cell served
     from the cold tier or the shared cross-query cache — work the
     enumerator did *not* redo.
     """

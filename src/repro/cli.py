@@ -7,7 +7,6 @@ Subcommands::
     repro trace --algorithm mincutlazy ...     # traced run + recursion tree
     repro profile --flamegraph-out out.folded  # kernel-level profiler run
     repro explain --phases TBNmcP,TBCnaiveP    # bounding ledger / phase diff
-    repro profile-memo --out prof.json ...     # trace -> memo cost profile
     repro experiment fig9 [--scale paper]      # regenerate a figure/table
     repro experiment all [--scale small]       # everything (EXPERIMENTS.md)
     repro verify [--fuzz N] [--invariant ...]  # conformance invariants
@@ -23,16 +22,13 @@ status 2.
 
 ``optimize`` accepts ``--json`` (machine-readable result),
 ``--trace-out PATH`` (JSONL span dump, one span per memoized expression
-explored), ``--profile-out PATH`` (kernel profiler report JSON) and
-``--memo-profile PATH`` (offline weights for a ``%profile`` memo);
+explored) and ``--profile-out PATH`` (kernel profiler report JSON);
 ``trace`` prints the recursion tree of ``docs/observability.md``;
 ``profile`` attributes exclusive wall time to named kernels and exports
 collapsed-stack flamegraphs (``docs/profiling.md``); ``explain``
 reconstructs the per-expression bounding ledger from a live or dumped
 trace, or — with ``--phases`` — diffs the last two phases of a
-multiphase run; ``profile-memo`` distills a traced run (or an existing
-trace file) into the per-expression recompute weights that a
-``%profile`` memo consumes.
+multiphase run.
 
 Every ``--*-out PATH`` option creates missing parent directories up
 front, before the (possibly long) optimization runs, and fails fast with
@@ -126,20 +122,6 @@ def _build_query(args: argparse.Namespace):
     return weighted_query(graph, args.seed)
 
 
-def _load_memo_profile(args: argparse.Namespace):
-    """Load ``--memo-profile`` if given; returns (profile, error_code)."""
-    path = getattr(args, "memo_profile", None)
-    if not path:
-        return None, None
-    from repro.cache.costing import CostProfile
-
-    try:
-        return CostProfile.load(path), None
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load memo profile {path!r}: {exc}", file=sys.stderr)
-        return None, 2
-
-
 def _cmd_optimize(args: argparse.Namespace) -> int:
     failure = _prepare_out_paths(
         getattr(args, "trace_out", None), getattr(args, "profile_out", None)
@@ -154,9 +136,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         RecordingProfiler() if getattr(args, "profile_out", None) else None
     )
     registry = MetricsRegistry() if (tracing or args.json) else None
-    memo_profile, error = _load_memo_profile(args)
-    if error is not None:
-        return error
     config = OptimizerConfig.parse(args.algorithm)
     try:
         optimizer = make_optimizer(
@@ -166,7 +145,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             tracer=tracer,
             registry=registry,
             profiler=profiler,
-            memo_profile=memo_profile,
         )
     except ValueError as exc:  # e.g. --profile-out on a bottom-up name
         print(f"error: {exc}", file=sys.stderr)
@@ -310,51 +288,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"cannot write trace to {args.out!r}: {exc}", file=sys.stderr)
             return 2
         print(f"\ntrace: {count} spans -> {args.out}")
-    return 0
-
-
-def _cmd_profile_memo(args: argparse.Namespace) -> int:
-    """Distill a traced run into a memo cost profile (``profile`` policy).
-
-    Either replays an existing span-trace JSONL (``--from-trace``) or
-    runs the optimizer under a recording tracer right here, then writes
-    the per-expression exclusive recompute weights as JSON for a later
-    ``repro optimize --algorithm TBNmc%profile:CELLS --memo-profile PATH``
-    run.
-    """
-    from repro.cache.costing import CostProfile
-
-    failure = _prepare_out_paths(args.out)
-    if failure is not None:
-        return failure
-    if args.from_trace:
-        try:
-            profile = CostProfile.from_trace_file(args.from_trace, metric=args.metric)
-        except (OSError, ValueError, KeyError) as exc:
-            print(
-                f"cannot build profile from {args.from_trace!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        source = args.from_trace
-    else:
-        query = _build_query(args)
-        tracer = RecordingTracer()
-        optimizer = make_optimizer(
-            args.algorithm, query, metrics=Metrics(), tracer=tracer
-        )
-        optimizer.optimize()
-        profile = CostProfile.from_tracer(tracer, metric=args.metric)
-        source = f"{args.algorithm} on {query.describe()}"
-    try:
-        profile.save(args.out)
-    except OSError as exc:
-        print(f"cannot write profile to {args.out!r}: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"profile: {len(profile)} expressions ({args.metric} metric) "
-        f"from {source} -> {args.out}"
-    )
     return 0
 
 
@@ -837,11 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="textual query DSL, e.g. 'a(1000) b(500) c(20); a-b:0.01' "
              "(overrides --topology/--n)",
     )
-    optimize.add_argument(
-        "--memo-profile", metavar="PATH",
-        help="offline recompute weights from 'repro profile-memo' "
-             "(used by a %%profile memo suffix)",
-    )
 
     trace = sub.add_parser(
         "trace", help="optimize under a recording tracer, print the recursion tree"
@@ -924,34 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of tables",
-    )
-
-    profile_memo = sub.add_parser(
-        "profile-memo",
-        help="distill a traced run into per-expression memo recompute weights",
-    )
-    profile_memo.add_argument("--algorithm", default="TBNmc")
-    profile_memo.add_argument(
-        "--topology",
-        default="star",
-        choices=["chain", "star", "cycle", "clique", "wheel",
-                 "random-acyclic", "random-cyclic"],
-    )
-    profile_memo.add_argument("--n", type=int, default=8)
-    profile_memo.add_argument("--seed", type=int, default=42)
-    profile_memo.add_argument("--query", help="textual query DSL (overrides --topology)")
-    profile_memo.add_argument(
-        "--from-trace", metavar="PATH",
-        help="build from an existing span-trace JSONL instead of running",
-    )
-    profile_memo.add_argument(
-        "--metric", default="work", choices=["work", "time"],
-        help="weight metric: exclusive operation counters (deterministic, "
-             "default) or exclusive wall microseconds",
-    )
-    profile_memo.add_argument(
-        "--out", required=True, metavar="PATH",
-        help="where to write the profile JSON",
     )
 
     run = sub.add_parser("run", help="optimize and execute on synthetic data")
@@ -1109,7 +1009,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "profile": _cmd_profile,
         "explain": _cmd_explain,
-        "profile-memo": _cmd_profile_memo,
         "run": _cmd_run,
         "experiment": _cmd_experiment,
         "verify": _cmd_verify,

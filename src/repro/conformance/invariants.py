@@ -368,9 +368,7 @@ def check_memo_soundness(
     violations: list[Violation] = []
     configurations = [
         f"{base}%lru:{capacity}",
-        f"{base}%smallest:{capacity}",
         f"{base}%cost:{capacity}",
-        f"{base}%profile:{capacity}",
         f"{base}%cost:{capacity}:{capacity}",
     ]
     for name in configurations:

@@ -264,11 +264,6 @@ class TopDownEnumerator:
         #: (``None`` after an unbudgeted run).
         self.anytime: AnytimeReport | None = None
         self._last_join_at: float | None = None
-        # Exclusive per-expression compute clock: only worth its clock()
-        # calls when tracing is already paying for spans AND the memo's
-        # eviction policy can refine its recompute weights with it.
-        self._measure_compute = self._tracing and self.memo.wants_compute_seconds
-        self._compute_stack: list[float] = []
 
     @property
     def space(self) -> PlanSpace:
@@ -586,14 +581,8 @@ class TopDownEnumerator:
         replay = frontier is not None
         if not (replay or is_scan) and budget < INFINITY and order is None:
             frontier = Frontier([], array("d"))
-        compute_seconds: float | None = None
         if self._tracing:
             plan = None
-            measure = self._measure_compute
-            started = 0.0
-            if measure:
-                self._compute_stack.append(0.0)
-                started = clock()
             self.tracer.begin(
                 subset,
                 order,
@@ -613,8 +602,6 @@ class TopDownEnumerator:
                     cost=None if plan is None else plan.cost,
                     failed=plan is None,
                 )
-                if measure:
-                    compute_seconds = self._finish_compute_span(started)
         elif is_scan:
             plan = self._calc_best_scan(subset, order, budget)
         else:
@@ -625,14 +612,10 @@ class TopDownEnumerator:
             metrics.budget_failures += 1
             if budget < INFINITY:
                 self._memo_store_lower_bound(
-                    query, subset, order, budget,
-                    compute_seconds=compute_seconds,
-                    frontier=frontier,
+                    query, subset, order, budget, frontier=frontier
                 )
         else:
-            self._memo_store_plan(
-                query, subset, order, plan, compute_seconds=compute_seconds
-            )
+            self._memo_store_plan(query, subset, order, plan)
         return plan
 
     def _calc_best_scan(
@@ -897,22 +880,6 @@ class TopDownEnumerator:
         if pending is not None:
             best = join(*pending)
         return best
-
-    def _finish_compute_span(self, started: float) -> float:
-        """Close one exclusive-compute measurement frame.
-
-        Returns the time this expression spent computing *excluding* its
-        recursive child computations (their inclusive times accumulated in
-        this frame's stack slot), and charges the full inclusive time to
-        the parent frame, if any.  Exclusive time is what recomputing the
-        cell would cost when its children are still memoized — exactly the
-        weight a cost-aware eviction policy needs.
-        """
-        inclusive = clock() - started
-        child_total = self._compute_stack.pop()
-        if self._compute_stack:
-            self._compute_stack[-1] += inclusive
-        return max(0.0, inclusive - child_total)
 
     def _note_join_costed(self) -> None:
         """Feed the time-between-joins histogram (microseconds).

@@ -21,11 +21,10 @@ from functools import lru_cache
 from statistics import mean
 
 from repro.analysis.metrics import Metrics
-from repro.cache.costing import CostProfile
+from repro.cache.policies import POLICY_NAMES
 from repro.catalog.query import Query
 from repro.experiments.common import ExperimentResult, graph_maker, seed_for, time_call
 from repro.memo import GlobalPlanCache, MemoTable
-from repro.obs.tracer import RecordingTracer
 from repro.registry import make_optimizer
 from repro.workloads.topologies import chain, star
 from repro.workloads.weights import weighted_query
@@ -142,18 +141,13 @@ def run_fig25_30_by_threshold(scale: str = "small") -> ExperimentResult:
 #: Algorithm the policy-extension experiments run (the paper's flagship).
 POLICY_BASE = "TBNmc"
 
-#: Workload cells of the eviction-policy extension and the policies each
-#: runs.  ``smallest`` is excluded from clique-10: evicting small
-#: (cheap) expressions first is pathological on dense graphs and takes
-#: minutes there without adding information.
-_POLICY_CELLS_SMALL = (
-    ("star", 8, ("lru", "smallest", "cost", "profile")),
-    ("clique", 8, ("lru", "smallest", "cost", "profile")),
-)
+#: Workload cells ``(topology, n)`` of the eviction-policy extension;
+#: each runs every policy plus ``cost+cold``.
+_POLICY_CELLS_SMALL = (("star", 8), ("clique", 8))
 _POLICY_CELLS_PAPER = _POLICY_CELLS_SMALL + (
-    ("clique", 10, ("lru", "cost", "profile")),
-    ("chain", 12, ("lru", "smallest", "cost", "profile")),
-    ("cycle", 10, ("lru", "smallest", "cost", "profile")),
+    ("clique", 10),
+    ("chain", 12),
+    ("cycle", 10),
 )
 
 
@@ -163,11 +157,9 @@ def run_memory_policies(scale: str = "small") -> ExperimentResult:
     Every cell caps the memo at 50 % of the cells unbounded enumeration
     populates and compares the eviction policies on *recomputed* join
     operators (operators costed beyond the unbounded run's — pure
-    eviction overhead).  The ``profile`` policy consumes a
-    :class:`~repro.cache.costing.CostProfile` distilled from a traced
-    unbounded run of the same query (the ``repro profile-memo`` flow);
-    ``cost+cold`` is the cost policy with a cold demotion tier of the
-    same size as the hot one, where eviction stops being a loss at all.
+    eviction overhead).  ``cost+cold`` is the cost policy with a cold
+    demotion tier of the same size as the hot one, where eviction stops
+    being a loss at all.
     """
     result = ExperimentResult(
         "memory-policies",
@@ -176,25 +168,21 @@ def run_memory_policies(scale: str = "small") -> ExperimentResult:
          "recomputed", "evictions", "demotions", "cold_hits", "ms", "optimal"],
     )
     cells = _POLICY_CELLS_SMALL if scale == "small" else _POLICY_CELLS_PAPER
-    for topology, n, policies in cells:
+    for topology, n in cells:
         seed = seed_for(n, 0, 47)
         query = weighted_query(graph_maker(topology)(n, seed), seed)
-        tracer = RecordingTracer()
         base_metrics = Metrics()
-        unbounded = make_optimizer(POLICY_BASE, query, metrics=base_metrics,
-                                   tracer=tracer)
+        unbounded = make_optimizer(POLICY_BASE, query, metrics=base_metrics)
         best = unbounded.optimize()
         base_joins = base_metrics.join_operators_costed
         required = unbounded.memo.populated_cells()
         capacity = required // 2
-        profile = CostProfile.from_tracer(tracer)
-        variants = [(name, f"%{name}:{capacity}") for name in policies]
+        variants = [(name, f"%{name}:{capacity}") for name in POLICY_NAMES]
         variants.append(("cost+cold", f"%cost:{capacity}:{capacity}"))
         for label, suffix in variants:
             metrics = Metrics()
             optimizer = make_optimizer(
-                POLICY_BASE + suffix, query, metrics=metrics,
-                memo_profile=profile if label == "profile" else None,
+                POLICY_BASE + suffix, query, metrics=metrics
             )
             elapsed, plan = time_call(optimizer.optimize)
             result.add_row(

@@ -6,14 +6,14 @@ programming fails if an entry disappears, whereas partitioning search
 simply recomputes it.  :class:`MemoTable` therefore supports an optional
 cell capacity (the CPU/storage trade-off experiments of Figures 21–30)
 with pluggable eviction from :mod:`repro.cache.policies` — the paper's
-``lru`` and ``smallest`` baselines plus the cost-aware ``cost`` and
-``profile`` policies driven by per-cell recompute weights
-(:mod:`repro.cache.costing`).  Two further tiers soften capacity misses:
-an optional *cold tier* (``cold_capacity``) keeps evicted cells in
-compact wire format so eviction is a demotion rather than a loss, and an
-optional *shared* :class:`GlobalPlanCache` is consulted read-through (and
-populated write-through) so plans survive across queries (the
-``Q1``/``Q2`` example of Section 5.1).
+``lru`` baseline plus the cost-aware ``cost`` policy driven by each
+cell's logical recompute weight (:mod:`repro.cache.costing`).  Two
+further tiers soften capacity misses: an optional *cold tier*
+(``cold_capacity``) keeps evicted cells in compact wire format so
+eviction is a demotion rather than a loss, and an optional *shared*
+:class:`GlobalPlanCache` is consulted read-through (and populated
+write-through) so plans survive across queries (the ``Q1``/``Q2``
+example of Section 5.1).
 
 A populated cell stores either an optimal :class:`~repro.plans.physical.Plan`
 or — for accumulated-cost bounding (Algorithm 7) — a *lower bound*: the
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional
 
 from repro.analysis.metrics import Metrics
 from repro.cache.coldtier import ColdTier
-from repro.cache.costing import CostProfile, logical_cost_proxy
+from repro.cache.costing import logical_cost_proxy
 from repro.cache.policies import POLICY_NAMES, make_policy
 from repro.cache.stats import CacheStats
 from repro.catalog.query import Query
@@ -127,19 +127,13 @@ class MemoTable:
         peak occupancy.
     policy:
         Eviction policy when over capacity: ``"lru"`` (the paper's
-        experiments), ``"smallest"`` (Section 5.1's logical-description
-        weighting), ``"cost"`` (GreedyDual over per-cell recompute
-        weights), or ``"profile"`` (GreedyDual over offline weights from
-        a prior run's trace; see :class:`~repro.cache.costing.CostProfile`).
+        experiments) or ``"cost"`` (GreedyDual over each cell's
+        :func:`~repro.cache.costing.logical_cost_proxy`, Section 5.1's
+        logical-description weighting).
     cold_capacity:
         Size of the cold demotion tier (``0`` = no cold tier, ``None`` =
         unbounded): evicted cells are kept in wire format and promoted
         back on lookup instead of being recomputed.
-    profile:
-        Optional :class:`~repro.cache.costing.CostProfile` supplying
-        offline recompute weights.  Required in spirit by the
-        ``profile`` policy (which falls back to the logical proxy for
-        unprofiled cells) and consulted by ``cost`` before the proxy.
     shared:
         Optional :class:`GlobalPlanCache` consulted read-through on local
         misses and populated write-through on plan stores, giving
@@ -155,7 +149,6 @@ class MemoTable:
         policy: str = "lru",
         *,
         cold_capacity: int | None = 0,
-        profile: CostProfile | None = None,
         shared: "GlobalPlanCache | None" = None,
     ) -> None:
         if capacity is not None and capacity < 0:
@@ -164,7 +157,6 @@ class MemoTable:
         self.metrics = metrics
         self._policy = make_policy(policy)
         self._policy.bind(self._weight_of)
-        self.profile = profile
         self.shared = shared
         self.stats = CacheStats()
         if cold_capacity == 0:
@@ -197,16 +189,6 @@ class MemoTable:
     def cold_capacity(self) -> int | None:
         """Cold-tier capacity (``0`` when no cold tier is configured)."""
         return 0 if self._cold is None else self._cold.capacity
-
-    @property
-    def wants_compute_seconds(self) -> bool:
-        """True iff stores benefit from measured per-cell compute time.
-
-        The enumerator uses this to decide whether to run its exclusive
-        compute clock (only meaningful under tracing): weight-driven
-        policies refine the logical proxy with measured time.
-        """
-        return self._track_weights and self._policy.uses_weights
 
     def attach_registry(self, registry: "MetricsRegistry") -> None:
         """Feed occupancy-over-time and eviction telemetry into ``registry``.
@@ -247,33 +229,6 @@ class MemoTable:
     def _weight_of(self, key: Hashable) -> float:
         """Recompute weight of a resident cell (policy callback)."""
         return self._weights.get(key, 1.0)
-
-    def _weight_for(
-        self,
-        query: Query,
-        subset: int,
-        order: int | None,
-        compute_seconds: float | None,
-    ) -> float:
-        """Resolve the best available recompute weight for one cell.
-
-        ``profile`` policy: profiled weight first (that is the point),
-        then measured time, then the logical proxy.  Other policies:
-        measured time first, then any attached profile, then the proxy.
-        Measured seconds are scaled to microseconds so they land in the
-        same magnitude range as profiled ``time`` weights.
-        """
-        if self._policy.name == "profile" and self.profile is not None:
-            weight = self.profile.lookup(subset, order)
-            if weight is not None:
-                return weight
-        if compute_seconds is not None:
-            return compute_seconds * 1e6
-        if self._policy.name != "profile" and self.profile is not None:
-            weight = self.profile.lookup(subset, order)
-            if weight is not None:
-                return weight
-        return logical_cost_proxy(query, subset, order)
 
     def _evict_one(self) -> None:
         """Demote (or drop) one cell according to the eviction policy.
@@ -362,14 +317,8 @@ class MemoTable:
                 if plan is not None:
                     entry = MemoEntry(plan=plan)
                     self.stats.shared_hits += 1
-                    weight = None
-                    if self._track_weights:
-                        weight = self._weight_for(query, subset, order, None)
-                        self.stats.recompute_cost_saved += weight
-                    else:
-                        self.stats.recompute_cost_saved += logical_cost_proxy(
-                            query, subset, order
-                        )
+                    weight = logical_cost_proxy(query, subset, order)
+                    self.stats.recompute_cost_saved += weight
                     if self.metrics is not None:
                         self.metrics.memo_shared_hits += 1
                     if self._c_shared_hits is not None:
@@ -406,19 +355,12 @@ class MemoTable:
         subset: int,
         order: int | None,
         plan: Plan,
-        *,
-        compute_seconds: float | None = None,
     ) -> None:
-        """Store an optimal plan, evicting/demoting cells if over capacity.
-
-        ``compute_seconds`` optionally carries the measured exclusive
-        time the enumerator spent producing the plan; weight-driven
-        policies prefer it over the logical proxy.
-        """
+        """Store an optimal plan, evicting/demoting cells if over capacity."""
         key = self.key_for(query, subset, order)
         weight = None
         if self._track_weights:
-            weight = self._weight_for(query, subset, order, compute_seconds)
+            weight = logical_cost_proxy(query, subset, order)
         self._store(key, MemoEntry(plan=plan), weight=weight)
         if self.shared is not None and self.shared is not self:
             self.shared.store_plan(query, subset, order, plan)
@@ -430,8 +372,6 @@ class MemoTable:
         order: int | None,
         plans: "tuple[Plan, ...]",
         k: int,
-        *,
-        compute_seconds: float | None = None,
     ) -> None:
         """Store the k-best ranked plans of one expression (champion first).
 
@@ -447,8 +387,7 @@ class MemoTable:
         key = self.key_for(query, subset, order)
         weight = None
         if self._track_weights:
-            weight = self._weight_for(query, subset, order, compute_seconds)
-            weight *= len(plans)
+            weight = logical_cost_proxy(query, subset, order) * len(plans)
         entry = MemoEntry(plan=plans[0], ranked=tuple(plans), ranked_k=k)
         self._store(key, entry, weight=weight)
         if self.shared is not None and self.shared is not self:
@@ -488,7 +427,6 @@ class MemoTable:
         order: int | None,
         bound: float,
         *,
-        compute_seconds: float | None = None,
         frontier: Frontier | None = None,
     ) -> None:
         """Record that no plan with cost <= ``bound`` exists (Algorithm 7).
@@ -505,7 +443,7 @@ class MemoTable:
             bound = max(bound, existing.lower_bound)
         weight = None
         if self._track_weights:
-            weight = self._weight_for(query, subset, order, compute_seconds)
+            weight = logical_cost_proxy(query, subset, order)
         self._store(
             key, MemoEntry(lower_bound=bound, frontier=frontier), weight=weight
         )
@@ -668,14 +606,12 @@ class GlobalPlanCache(MemoTable):
         policy: str = "lru",
         *,
         cold_capacity: int | None = 0,
-        profile: CostProfile | None = None,
     ) -> None:
         super().__init__(
             capacity=capacity,
             metrics=metrics,
             policy=policy,
             cold_capacity=cold_capacity,
-            profile=profile,
         )
         self._lock = threading.RLock()
 
@@ -705,15 +641,12 @@ class GlobalPlanCache(MemoTable):
         order: int | None,
         bound: float,
         *,
-        compute_seconds: float | None = None,
         frontier: Frontier | None = None,
     ) -> None:
         """Record a failed budget; the frontier is dropped, because its
         partitions are in the writing query's vertex numbering."""
         with self._lock:
-            super().store_lower_bound(
-                query, subset, order, bound, compute_seconds=compute_seconds
-            )
+            super().store_lower_bound(query, subset, order, bound)
 
     def summary(self) -> dict[str, object]:
         with self._lock:
@@ -729,15 +662,13 @@ class GlobalPlanCache(MemoTable):
         subset: int,
         order: int | None,
         plan: Plan,
-        *,
-        compute_seconds: float | None = None,
     ) -> None:
         """Store a plan under its canonical expression key."""
         with self._lock:
             key = self.key_for(query, subset, order)
             weight = None
             if self._track_weights:
-                weight = self._weight_for(query, subset, order, compute_seconds)
+                weight = logical_cost_proxy(query, subset, order)
             self._store(key, MemoEntry(plan=plan), weight=weight)
 
     def store_ranked(
@@ -747,15 +678,11 @@ class GlobalPlanCache(MemoTable):
         order: int | None,
         plans: "tuple[Plan, ...]",
         k: int,
-        *,
-        compute_seconds: float | None = None,
     ) -> None:
         """Cross-query cells keep champions only; the ranked tail is local."""
         if not plans:
             raise ValueError("store_ranked needs at least the champion plan")
-        self.store_plan(
-            query, subset, order, plans[0], compute_seconds=compute_seconds
-        )
+        self.store_plan(query, subset, order, plans[0])
 
     def ranked_for_query(
         self, query: Query, entry: MemoEntry, k: int

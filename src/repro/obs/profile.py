@@ -299,20 +299,12 @@ class ProfiledMemoCalls:
             profiler.exit()
 
     def store_plan(
-        self,
-        query: Any,
-        subset: int,
-        order: int | None,
-        plan: Any,
-        *,
-        compute_seconds: float | None = None,
+        self, query: Any, subset: int, order: int | None, plan: Any
     ) -> None:
         profiler = self._profiler
         profiler.enter(KERNEL_MEMO)
         try:
-            self._memo.store_plan(
-                query, subset, order, plan, compute_seconds=compute_seconds
-            )
+            self._memo.store_plan(query, subset, order, plan)
         finally:
             profiler.count(KERNEL_MEMO, "stores")
             profiler.exit()
@@ -324,19 +316,13 @@ class ProfiledMemoCalls:
         order: int | None,
         budget: float,
         *,
-        compute_seconds: float | None = None,
         frontier: Any = None,
     ) -> None:
         profiler = self._profiler
         profiler.enter(KERNEL_MEMO)
         try:
             self._memo.store_lower_bound(
-                query,
-                subset,
-                order,
-                budget,
-                compute_seconds=compute_seconds,
-                frontier=frontier,
+                query, subset, order, budget, frontier=frontier
             )
         finally:
             profiler.count(KERNEL_MEMO, "stores")

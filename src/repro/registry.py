@@ -24,7 +24,7 @@ order, and all need a top-down algorithm:
 * ``%policy[:capacity[:cold]]`` — a capacity-bounded memo with the named
   eviction policy (Section 5.1 / Figures 21–30): ``TBNmc%lru:64``, or
   ``TBNmc%cost:64:128`` with a 128-entry cold demotion tier.  Policies:
-  ``lru``, ``smallest``, ``cost``, ``profile``;
+  ``lru`` and ``cost``;
 * ``?budget`` — anytime search (``docs/anytime.md``): ``TBNmc?250ms``
   bounds wall clock, ``TBNmc?5000n`` memo-missed expression computations
   (deterministic), ``TBNmc?250ms:5000n`` both.  ``optimize()`` then
@@ -51,7 +51,6 @@ from repro.anytime import Budget
 from repro.bottomup import DPccp, DPsize, DPsub
 from repro.catalog.query import Query
 from repro.cost.io_model import CostModel
-from repro.cache.costing import CostProfile
 from repro.cache.policies import POLICY_NAMES
 from repro.enumerator import Bounding, TopDownEnumerator
 from repro.memo import GlobalPlanCache, MemoTable
@@ -354,7 +353,6 @@ def conformance_matrix(
             "TBNmcP",
             "TBNmcAP",
             f"TBNmc%cost:{memo_capacity}",
-            f"TBNmc%profile:{memo_capacity}",
             f"TBNmc%lru:{memo_capacity}:{memo_capacity}",
         ),
         "left-deep-cp-free": (
@@ -406,7 +404,6 @@ def make_optimizer(
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
     profiler: KernelProfiler | None = None,
-    memo_profile: CostProfile | None = None,
     global_cache: GlobalPlanCache | None = None,
 ):
     """Instantiate the named (or configured) algorithm over ``query``.
@@ -423,10 +420,10 @@ def make_optimizer(
     instrumentation; both default to off (zero overhead).  ``profiler``
     attaches a kernel profiler (:mod:`repro.obs.profile`) and requires a
     top-down algorithm — bottom-up optimizers have no partition/memo
-    kernels to attribute.  ``memo`` is a prebuilt memo; ``memo_profile``
-    feeds the ``profile`` eviction policy and ``global_cache`` attaches a
-    cross-query :class:`~repro.memo.GlobalPlanCache` as the memo's shared
-    read-through tier — both build the memo, so they exclude ``memo``.
+    kernels to attribute.  ``memo`` is a prebuilt memo; ``global_cache``
+    attaches a cross-query :class:`~repro.memo.GlobalPlanCache` as the
+    memo's shared read-through tier — it builds the memo, so it excludes
+    ``memo``.
     """
     config = (
         name_or_config
@@ -434,7 +431,7 @@ def make_optimizer(
         else OptimizerConfig.parse(name_or_config)
     )
     spec = config.spec
-    if config.memo is not None or memo_profile is not None or global_cache is not None:
+    if config.memo is not None or global_cache is not None:
         if memo is not None:
             raise ValueError(
                 "pass either a prebuilt memo or memo policy settings, not both"
@@ -446,7 +443,6 @@ def make_optimizer(
             capacity=memo_spec.capacity,
             policy=memo_spec.policy,
             cold_capacity=memo_spec.cold_capacity,
-            profile=memo_profile,
             shared=global_cache,
         )
     if profiler is not None and not spec.top_down:

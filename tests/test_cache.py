@@ -8,15 +8,13 @@ memoization (top-down partitioning search tolerates eviction; it never
 trades optimality for storage).
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import Metrics
 from repro.cache.coldtier import ColdTier
-from repro.cache.costing import CostProfile, logical_cost_proxy, profile_key
+from repro.cache.costing import logical_cost_proxy
 from repro.cache.policies import POLICY_NAMES, make_policy
 from repro.catalog.query import Query
 from repro.cost.io_model import CostModel
@@ -46,6 +44,12 @@ class TestPolicies:
         with pytest.raises(ValueError, match="unknown eviction policy"):
             make_policy("random")
 
+    @pytest.mark.parametrize("retired", ["smallest", "profile"])
+    def test_retired_policies_are_unknown(self, retired):
+        assert POLICY_NAMES == ("lru", "cost")
+        with pytest.raises(ValueError, match=r"\('lru', 'cost'\)"):
+            make_policy(retired)
+
     def test_lru_evicts_least_recently_used(self, query):
         memo = MemoTable(capacity=2, policy="lru")
         memo.store_plan(query, 1, None, scan(query, 0))
@@ -55,16 +59,6 @@ class TestPolicies:
         assert memo.peek(query, 1, None) is not None
         assert memo.peek(query, 2, None) is None
         assert memo.stats.evictions == 1
-
-    def test_smallest_evicts_fewest_relations_first(self, query):
-        memo = MemoTable(capacity=2, policy="smallest")
-        big = scan(query, 0)  # cell keyed by a 2-relation subset below
-        memo.store_plan(query, 0b11, None, big)
-        memo.store_plan(query, 0b100, None, scan(query, 2))
-        memo.store_plan(query, 0b11000, None, scan(query, 3))
-        # The singleton 0b100 is the smallest subset and goes first.
-        assert memo.peek(query, 0b100, None) is None
-        assert memo.peek(query, 0b11, None) is not None
 
     def test_cost_policy_keeps_expensive_cells(self, query):
         memo = MemoTable(capacity=2, policy="cost")
@@ -102,7 +96,7 @@ class TestPolicies:
         assert run() == run()
 
 
-class TestCostProfile:
+class TestLogicalCostProxy:
     def test_proxy_monotone_in_size_and_density(self):
         q_chain = Query.uniform(chain(6))
         q_clique = Query.uniform(clique(6))
@@ -118,67 +112,6 @@ class TestCostProfile:
         assert logical_cost_proxy(q_chain, 0b111, 0) == logical_cost_proxy(
             q_chain, 0b111
         ) + 1.0
-
-    def test_profile_key_format(self):
-        assert profile_key(5, None) == "5:-"
-        assert profile_key(5, 2) == "5:2"
-
-    def test_metric_validation(self):
-        with pytest.raises(ValueError, match="unknown profile metric"):
-            CostProfile(metric="joules")
-
-    def test_add_accumulates(self):
-        profile = CostProfile()
-        profile.add(3, None, 2.0)
-        profile.add(3, None, 5.0)
-        assert profile.lookup(3) == 7.0
-        assert profile.lookup(3, 1) is None
-        assert (3, None) in profile and len(profile) == 1
-
-    def test_from_trace_records_work_metric(self):
-        records = [
-            {"span_id": 1, "subset": 3, "order": None,
-             "counters": {"join_operators_costed": 4}, "children": [2]},
-            {"span_id": 2, "subset": 1, "order": None,
-             "counters": {}, "children": []},
-        ]
-        profile = CostProfile.from_trace_records(records)
-        assert profile.lookup(3) == 4.0
-        assert profile.lookup(1) is None  # zero work is not recorded
-
-    def test_from_trace_records_time_metric_is_exclusive(self):
-        records = [
-            {"span_id": 1, "subset": 3, "order": None, "elapsed_us": 10.0,
-             "children": [2]},
-            {"span_id": 2, "subset": 1, "order": None, "elapsed_us": 4.0,
-             "children": []},
-        ]
-        profile = CostProfile.from_trace_records(records, metric="time")
-        assert profile.lookup(3) == 6.0  # 10 minus the child's 4
-        assert profile.lookup(1) == 4.0
-
-    def test_save_load_roundtrip(self, tmp_path):
-        profile = CostProfile(metric="work")
-        profile.add(3, None, 2.5)
-        profile.add(5, 2, 7.0)
-        path = str(tmp_path / "profile.json")
-        profile.save(path)
-        loaded = CostProfile.load(path)
-        assert loaded.metric == "work"
-        assert loaded.lookup(3) == 2.5
-        assert loaded.lookup(5, 2) == 7.0
-        payload = json.load(open(path, encoding="utf-8"))
-        assert payload["version"] == 1
-        assert payload["weights"] == {"3:-": 2.5, "5:2": 7.0}
-
-    def test_from_trace_file(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            json.dumps({"span_id": 1, "subset": 7, "order": None,
-                        "counters": {"partitions_emitted": 3}}) + "\n"
-        )
-        profile = CostProfile.from_trace_file(str(path))
-        assert profile.lookup(7) == 3.0
 
 
 class TestColdTier:
@@ -317,20 +250,6 @@ def test_optimal_with_cold_tier(topology):
     assert optimizer.memo.stats.demotions > 0
 
 
-def test_profile_policy_optimal_with_real_profile():
-    from repro.obs.tracer import RecordingTracer
-
-    query = make_query("star", 6, 11)
-    tracer = RecordingTracer()
-    best = make_optimizer("TBNmc", query, tracer=tracer).optimize()
-    profile = CostProfile.from_tracer(tracer)
-    assert len(profile) > 0
-    plan = make_optimizer(
-        "TBNmc%profile:8", query, memo_profile=profile
-    ).optimize()
-    assert plan.cost == best.cost
-
-
 def test_bounded_variants_stay_optimal_under_cost_eviction():
     """Accumulated/predicted bounding composes with cost-aware eviction."""
     query = make_query("cycle", 7, 5)
@@ -376,16 +295,13 @@ class TestProperties:
         order=st.one_of(st.none(), st.integers(0, 5)),
     )
     @settings(max_examples=50, deadline=None)
-    def test_profile_falls_back_to_proxy_for_unknown_keys(self, subset, order):
+    def test_cell_weight_is_the_logical_proxy(self, subset, order):
         query = Query.uniform(chain(6))
-        profile = CostProfile()
-        profile.add(0b11, None, 123.0)
-        memo = MemoTable(capacity=4, policy="profile", profile=profile)
-        expected = (
-            123.0 if (subset, order) == (0b11, None)
-            else logical_cost_proxy(query, subset, order)
+        memo = MemoTable(capacity=4, policy="cost")
+        memo.store_plan(query, subset, order, scan(query, 0))
+        assert memo._weight_of((subset, order)) == logical_cost_proxy(
+            query, subset, order
         )
-        assert memo._weight_for(query, subset, order, None) == expected
 
 
 # -- the shared cross-query cache ----------------------------------------------

@@ -276,7 +276,7 @@ class TestOutPathCreation:
 
 
 class TestMemoCli:
-    """``%policy`` memo names, --memo-profile and the profile-memo subcommand."""
+    """``%policy`` memo names on ``--algorithm``."""
 
     def _json_of(self, capsys, argv):
         import json
@@ -287,10 +287,8 @@ class TestMemoCli:
     def test_memo_flags_parse(self):
         args = build_parser().parse_args([
             "optimize", "--algorithm", "TBNmc%cost:64:32",
-            "--memo-profile", "p.json",
         ])
         assert args.algorithm == "TBNmc%cost:64:32"
-        assert args.memo_profile == "p.json"
 
     def test_memo_policy_rejects_unknown(self, capsys):
         assert main(["optimize", "--algorithm", "TBNmc%random"]) == 2
@@ -335,74 +333,42 @@ class TestMemoCli:
         assert payload["memo"]["policy"] == "cost"
         assert payload["memo"]["capacity"] == 16
 
-    def test_bad_profile_path_fails_cleanly(self, capsys):
-        code = main([
-            "optimize", "--algorithm", "TBNmc%profile",
-            "--memo-profile", "/nonexistent/profile.json",
-        ])
-        assert code == 2
-        assert "cannot load memo profile" in capsys.readouterr().err
+    @pytest.mark.parametrize("algorithm", ["TBNmc%profile:8", "TBNmc%smallest:8"])
+    def test_retired_policy_is_one_error_line(self, capsys, algorithm):
+        assert main(["optimize", "--algorithm", algorithm, "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "('lru', 'cost')" in err
 
-    def test_profile_memo_roundtrip(self, capsys, tmp_path):
-        out = str(tmp_path / "profile.json")
-        assert main([
-            "profile-memo", "--topology", "star", "--n", "6",
-            "--seed", "5", "--out", out,
-        ]) == 0
-        message = capsys.readouterr().out
-        assert "profile:" in message and out in message
-        payload = self._json_of(capsys, [
-            "optimize", "--topology", "star", "--n", "6", "--seed", "5",
-            "--algorithm", "TBNmc%profile:10", "--memo-profile", out, "--json",
-        ])
-        assert payload["memo"]["policy"] == "profile"
-        assert payload["cost"] > 0
-
-    def test_profile_memo_from_trace(self, capsys, tmp_path):
-        trace = str(tmp_path / "trace.jsonl")
-        out = str(tmp_path / "profile.json")
-        assert main([
-            "optimize", "--topology", "chain", "--n", "5",
-            "--trace-out", trace,
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "profile-memo", "--from-trace", trace, "--metric", "time",
-            "--out", out,
-        ]) == 0
-        import json
-
-        payload = json.load(open(out, encoding="utf-8"))
-        assert payload["metric"] == "time"
-        assert payload["weights"]
-
-    def test_profile_memo_missing_trace_fails(self, capsys, tmp_path):
-        code = main([
-            "profile-memo", "--from-trace", "/nonexistent.jsonl",
-            "--out", str(tmp_path / "p.json"),
-        ])
-        assert code == 2
-        assert "cannot build profile" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile-memo", "--out", "p.json"],
+            ["optimize", "--memo-profile", "p.json"],
+        ],
+        ids=["profile-memo", "memo-profile"],
+    )
+    def test_retired_memo_profile_surfaces_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestAlgorithmErrors:
     """A rejected ``--algorithm`` is one ``error:`` line and exit status 2."""
 
     @pytest.mark.parametrize(
-        "command", ["optimize", "trace", "profile", "explain", "profile-memo", "run"]
+        "command", ["optimize", "trace", "profile", "explain", "run"]
     )
     @pytest.mark.parametrize(
         "algorithm",
         ["TBNmc^0", "TBNmc%bogus", "BBNccp?10n", "TBNmc?1n^3", "XXNmc", "TBNmc@2"],
     )
-    def test_bad_algorithm_exits_2(self, capsys, tmp_path, command, algorithm):
-        argv = [command, "--algorithm", algorithm, "--n", "4"]
-        if command == "profile-memo":
-            argv += ["--out", str(tmp_path / "p.json")]
-        assert main(argv) == 2
+    def test_bad_algorithm_exits_2(self, capsys, command, algorithm):
+        assert main([command, "--algorithm", algorithm, "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "p.json").exists()
 
     def test_serve_rejects_bad_default_algorithm_at_startup(self, capsys):
         assert main(["serve", "--algorithm", "TBNmc@0", "--once"]) == 2

@@ -41,7 +41,7 @@ def reference_cost(query):
 
 class TestBoundingTimesMemoPolicy:
     @pytest.mark.parametrize("bounding", BOUNDINGS, ids=["none", "A", "P", "AP"])
-    @pytest.mark.parametrize("policy", ["lru", "smallest"])
+    @pytest.mark.parametrize("policy", ["lru", "cost"])
     @pytest.mark.parametrize("capacity_fraction", [1.0, 0.2, 0.0])
     def test_optimum_survives(
         self, query, reference_cost, bounding, policy, capacity_fraction

@@ -73,15 +73,16 @@ class TestEvictionPolicies:
         with pytest.raises(ValueError):
             MemoTable(capacity=4, policy="random")
 
-    def test_smallest_policy_evicts_singletons_first(self, query):
-        memo = MemoTable(capacity=2, policy="smallest")
+    def test_cost_policy_evicts_singletons_first(self, query):
+        memo = MemoTable(capacity=2, policy="cost")
         model = CostModel()
         big = model.build_join(
             query, model.JOIN_METHODS[1], self.scan(query, 0), self.scan(query, 1)
         )
         memo.store_plan(query, big.vertices, None, big)
         memo.store_plan(query, 1, None, self.scan(query, 0))
-        # Adding a third cell evicts the singleton, not the join.
+        # Adding a third cell evicts the singleton (logical weight 1), not
+        # the join.
         memo.store_plan(query, 2, None, self.scan(query, 1))
         assert memo.get(query, big.vertices, None) is not None
         assert memo.get(query, 1, None) is None
@@ -100,4 +101,4 @@ class TestEvictionPolicies:
         assert memo.get(query, 1, None) is not None
 
     def test_policies_listed(self):
-        assert MemoTable.POLICIES == ("lru", "smallest", "cost", "profile")
+        assert MemoTable.POLICIES == ("lru", "cost")

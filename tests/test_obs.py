@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.metrics import Metrics
+from repro.experiments.common import graph_maker
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -20,6 +21,7 @@ from repro.obs import (
 )
 from repro.obs.registry import TIME_BETWEEN_JOINS
 from repro.registry import OptimizerConfig, available_algorithms, make_optimizer, parse_name
+from repro.workloads.weights import weighted_query
 from tests.helpers import make_query
 
 
@@ -492,3 +494,37 @@ class TestRegistryMerge:
         parent.merge(worker)
         assert parent.histogram("h").percentile(50) == 3.0
         assert parent.histogram("h").percentile(100) == 5.0
+
+
+class TestTracingNeverChangesTheWork:
+    """A tracer records the search; it must not steer a bounded memo.
+
+    Eviction weights are the logical proxy whether or not spans are
+    recorded, so a traced capped run does exactly the bare run's work.
+    """
+
+    @pytest.mark.parametrize(
+        "topology, n", [("chain", 12), ("star", 8), ("clique", 8)]
+    )
+    def test_traced_bounded_memo_metrics_equal_bare(self, topology, n):
+        query = weighted_query(graph_maker(topology)(n, 3), 3)
+        unbounded = make_optimizer("TBNmc", query)
+        unbounded.optimize()
+        capacity = unbounded.memo.populated_cells() // 2
+        for name in (
+            f"TBNmc%cost:{capacity}",
+            f"TBNmc%cost:{capacity}:{capacity}",
+            f"TBNmc%lru:{capacity}:{capacity}",
+        ):
+            bare = make_optimizer(name, query, metrics=Metrics())
+            bare_plan = bare.optimize()
+            traced = []
+            for _ in range(2):
+                optimizer = make_optimizer(
+                    name, query, metrics=Metrics(), tracer=RecordingTracer()
+                )
+                plan = optimizer.optimize()
+                assert plan.to_wire() == bare_plan.to_wire(), name
+                traced.append(optimizer.metrics.as_dict())
+            assert traced[0] == bare.metrics.as_dict(), name
+            assert traced[1] == traced[0], name

@@ -136,8 +136,8 @@ class TestMemoSpecParsing:
         assert config.memo == MemoSpec(policy="cost", capacity=None, cold_capacity=0)
 
     def test_policy_capacity_cold(self):
-        memo = OptimizerConfig.parse("TBNmc%profile:64:32").memo
-        assert memo == MemoSpec(policy="profile", capacity=64, cold_capacity=32)
+        memo = OptimizerConfig.parse("TBNmc%lru:64:32").memo
+        assert memo == MemoSpec(policy="lru", capacity=64, cold_capacity=32)
 
     def test_suffixes_in_either_order(self):
         expected = OptimizerConfig(
@@ -163,6 +163,12 @@ class TestMemoSpecParsing:
             with pytest.raises(ValueError):
                 OptimizerConfig.parse(bad)
 
+    @pytest.mark.parametrize("retired", ["smallest", "profile"])
+    def test_retired_policies_are_unknown(self, retired):
+        for name in (f"TBNmc%{retired}:8", f"TBNmc%{retired}"):
+            with pytest.raises(ValueError, match=r"\('lru', 'cost'\)"):
+                OptimizerConfig.parse(name)
+
     def test_alias_resolution_preserves_spec(self):
         parse = OptimizerConfig.parse
         assert parse("mincutlazy%cost:64") == parse("TBNmc%cost:64")
@@ -171,7 +177,7 @@ class TestMemoSpecParsing:
 
     def test_parse_name_ignores_spec(self):
         assert OptimizerConfig.parse("TBNmc%cost:64").spec.name == "TBNmc"
-        assert OptimizerConfig.parse("tbnmcap%profile").spec.bounding is not None
+        assert OptimizerConfig.parse("tbnmcap%lru").spec.bounding is not None
 
 
 class TestMemoConstruction:
@@ -211,16 +217,6 @@ class TestMemoConstruction:
         optimizer = make_optimizer("TBNmc", query, global_cache=cache)
         assert optimizer.memo.shared is cache
 
-    def test_profile_attaches(self):
-        from repro.cache.costing import CostProfile
-
-        query = weighted_query(chain(4), 1)
-        profile = CostProfile()
-        optimizer = make_optimizer(
-            "TBNmc%profile:8", query, memo_profile=profile
-        )
-        assert optimizer.memo.profile is profile
-
     def test_spec_runs_optimally(self):
         query = weighted_query(chain(6), 3)
         best = make_optimizer("TBNmc", query).optimize()
@@ -233,10 +229,10 @@ class TestMemoConstruction:
 CANONICAL_NAMES = [
     ("TBNmc", "TBNmc"),
     ("tbnMC", "TBNmc"),
-    ("tbnmcap%profile", "TBNmcAP%profile"),
+    ("tbnmcap%lru", "TBNmcAP%lru"),
     ("TBNmc%cost", "TBNmc%cost"),
     ("TBNmc%COST:8", "TBNmc%cost:8"),
-    ("TBNmc%profile:64:32", "TBNmc%profile:64:32"),
+    ("TBNmc%lru:64:32", "TBNmc%lru:64:32"),
     ("TBNmc%cost:64:0", "TBNmc%cost:64"),
     ("TBNmc%cost:64?250ms", "TBNmc%cost:64?250ms"),
     ("TBNmc?250ms%cost:64", "TBNmc%cost:64?250ms"),
@@ -245,7 +241,7 @@ CANONICAL_NAMES = [
     ("mincutlazy%cost:64:32^2", "TBNmc%cost:64:32^2"),
     ("mincut%lru:8", "TBNmc%lru:8"),
     ("mincutlazy^2", "TBNmc^2"),
-    ("TLNmcAP%smallest:8", "TLNmcAP%smallest:8"),
+    ("TLNmcAP%cost:8", "TLNmcAP%cost:8"),
     ("mincutlazy?100n%lru", "TBNmc%lru?100n"),
     ("TBNmc^3", "TBNmc^3"),
     ("TBNmc?250ms:5000n", "TBNmc?250ms:5000n"),

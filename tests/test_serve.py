@@ -398,6 +398,22 @@ class TestPlanServerE2E:
         assert inflight == 0
         assert good["status"] == "ok"
 
+    @pytest.mark.parametrize("algorithm", ["TBNmc%smallest:8", "TBNmc%profile:8"])
+    def test_retired_policy_is_an_error_and_leaks_no_slot(self, algorithm):
+        async def scenario(server):
+            bad = await server.handle_payload(
+                {"id": 1, "algorithm": algorithm, "query": DSL}
+            )
+            inflight = server.admission.inflight
+            good = await server.handle_payload({"id": 2, "query": DSL})
+            return bad, inflight, good
+
+        bad, inflight, good = _serve(scenario, max_inflight=1)
+        assert bad["status"] == "error"
+        assert "('lru', 'cost')" in bad["error"]["message"]
+        assert inflight == 0
+        assert good["status"] == "ok"
+
     def test_quota_rejection(self):
         async def scenario(server):
             first = await server.handle_payload({"id": 1, "query": DSL})
