@@ -108,10 +108,6 @@ class Metrics:
         result["unique_expressions_expanded"] = self.unique_expressions_expanded
         return result
 
-    def to_dict(self) -> dict[str, int]:
-        """Alias of :meth:`as_dict`, used by the JSON exporters."""
-        return self.as_dict()
-
     def snapshot(self) -> dict[str, int]:
         """Cheap point-in-time copy of every additive counter.
 

@@ -187,7 +187,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             "cost": plan.cost,
             "plan": plan.sql_like(),
             "plan_tree": plan.tree_string(),
-            "metrics": metrics.to_dict(),
+            "metrics": metrics.as_dict(),
         }
         memo = getattr(optimizer, "memo", None)
         if memo is not None and hasattr(memo, "summary"):

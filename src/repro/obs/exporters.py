@@ -262,7 +262,7 @@ def render_summary(
     """Flat summary table of counter totals and instrument statistics."""
     rows: list[tuple[str, str]] = []
     if metrics is not None:
-        for name, value in sorted(metrics.to_dict().items()):
+        for name, value in sorted(metrics.as_dict().items()):
             if value:
                 rows.append((name, str(value)))
     if registry is not None:

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ExperimentResult, graph_maker, seed_for
 from repro.experiments.memory import THRESHOLDS, required_cells
+from repro.experiments.table2 import TOPOLOGIES
 from repro.registry import make_optimizer
 from repro.workloads import chain, cycle, star, weighted_query
 
@@ -266,6 +267,40 @@ class TestTable2:
                 # sub-millisecond and wall-clock-noisy on a loaded machine.
                 assert rows[pruned][cell] < value * 5 + 2e-3
 
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_pruned_never_does_more_work(self, topology, n):
+        """Deterministic companion of the wall-time bound above: in every
+        plan space, predicted-cost pruning costs no more join operators,
+        probes the memo no more often and expands no more expressions than
+        exhaustive search, and in both spaces with CPs it costs strictly
+        fewer join operators.  Weights seeds are Table 2's own."""
+        make = graph_maker(topology)
+        pairs = [
+            ("TLNmc", "TLNmcP", False),
+            ("TBNmc", "TBNmcP", False),
+            ("TLCnaive", "TLCnaiveP", True),
+            ("TBCnaive", "TBCnaiveP", True),
+        ]
+        for s in range(4):
+            query = weighted_query(make(n, seed_for(n, s)), seed_for(n, s, 977))
+            for exhaustive, pruned, with_cps in pairs:
+                work = {}
+                for name in (exhaustive, pruned):
+                    optimizer = make_optimizer(name, query)
+                    optimizer.optimize()
+                    metrics = optimizer.metrics
+                    work[name] = (
+                        metrics.join_operators_costed,
+                        metrics.memo_lookups,
+                        metrics.expressions_expanded,
+                    )
+                assert all(
+                    p <= e for p, e in zip(work[pruned], work[exhaustive])
+                ), (s, work)
+                if with_cps:
+                    assert work[pruned][0] < work[exhaustive][0], (s, work)
+
     def test_cp_pruning_stronger_at_largest_size(self, table2):
         """Pruning is much more effective in spaces containing CPs."""
         by_space = {}
@@ -295,71 +330,3 @@ class TestTable2:
         cp_free_ratio = costed["TBNmcP"] / costed["TBNmc"]
         assert cp_ratio < 0.5, costed
         assert cp_ratio < cp_free_ratio, costed
-
-
-class TestRegressionGate:
-    """Unit coverage for the Table 2 CI regression harness."""
-
-    def test_workload_grid_shape(self):
-        from repro.experiments.regression import ALGORITHMS, SIZES, workload_cells
-
-        cells = workload_cells()
-        assert len(cells) == len(ALGORITHMS) * 3 * len(SIZES)
-        keys = {(c["algorithm"], c["topology"], c["n"]) for c in cells}
-        assert len(keys) == len(cells)  # no duplicate cells
-        assert all(isinstance(c["seed"], int) for c in cells)
-
-    def test_collect_with_injected_runner(self):
-        from repro.experiments.regression import collect
-
-        def fake_runner(cell):
-            return {
-                "cost": float(cell["n"]),
-                "metrics": {"join_operators_costed": cell["n"] * 10},
-            }
-
-        measured = collect(runner=fake_runner)
-        assert all(
-            row["join_operators_costed"] in (50, 80) for row in measured.values()
-        )
-
-    def test_compare_flags_counter_and_cost_drift(self):
-        from repro.experiments.regression import compare
-
-        baseline = {"a": {"cost": 100.0, "join_operators_costed": 10}}
-        assert compare(baseline, {"a": {"cost": 100.0, "join_operators_costed": 10}}) == []
-        [problem] = compare(
-            baseline, {"a": {"cost": 100.0, "join_operators_costed": 11}}
-        )
-        assert "join_operators_costed" in problem
-        [problem] = compare(baseline, {"a": {"cost": 101.0, "join_operators_costed": 10}})
-        assert "cost" in problem
-        # tolerance absorbs float-summation noise but not real drift
-        assert compare(
-            baseline, {"a": {"cost": 100.0 * (1 + 1e-12), "join_operators_costed": 10}}
-        ) == []
-
-    def test_compare_flags_missing_and_extra_cells(self):
-        from repro.experiments.regression import compare
-
-        baseline = {"a": {"cost": 1.0, "join_operators_costed": 1}}
-        measured = {"b": {"cost": 1.0, "join_operators_costed": 1}}
-        problems = compare(baseline, measured)
-        assert len(problems) == 2
-
-    def test_committed_baseline_loads_and_covers_grid(self):
-        import json
-        import os
-
-        from repro.experiments.regression import (
-            DEFAULT_BASELINE_PATH,
-            workload_cells,
-        )
-
-        path = os.path.join(os.path.dirname(__file__), "..", DEFAULT_BASELINE_PATH)
-        with open(path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        assert len(baseline) == len(workload_cells())
-        for row in baseline.values():
-            assert row["cost"] > 0
-            assert row["join_operators_costed"] > 0

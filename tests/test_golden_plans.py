@@ -15,6 +15,12 @@ share the batch cost kernel with the search loop), Algorithm 7 under an
 LRU memo cap, an anytime node budget, ordered requests, and top-3
 ranking.
 
+The ``cli-<topology>-<n>`` queries are the same Table 2 cells built the
+way ``repro optimize --topology T --n N --seed S`` builds them (through
+``repro.cli._build_query``, seed ``seed_for(n, 0)``), recorded under
+the I/O model for the four join-counting names of Table 2 only.  A
+change to the CLI's weighting recipe fails them.
+
 Regenerate (only on an intended behaviour change)::
 
     PYTHONPATH=src python -m tests.test_golden_plans --record
@@ -22,6 +28,7 @@ Regenerate (only on an intended behaviour change)::
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -30,6 +37,7 @@ from typing import Any, Callable, Iterator
 import pytest
 
 from repro.catalog.query import Query
+from repro.cli import _build_query
 from repro.conformance.fuzz import load_corpus
 from repro.core.joingraph import JoinGraph
 from repro.cost.cout_model import CoutCostModel
@@ -97,6 +105,10 @@ CONFIGURATIONS = [
     ("topk", "TLNmcA"),
 ]
 
+#: The algorithm of each Table 2 plan space whose join operators the
+#: table counts; the only names recorded for the ``cli-*`` queries.
+CLI_ALGORITHMS = ("TLNmc", "TBNmc", "TLCnaive", "TBCnaive")
+
 
 def _queries() -> list[tuple[str, Query]]:
     queries: list[tuple[str, Query]] = []
@@ -117,6 +129,10 @@ def _queries() -> list[tuple[str, Query]]:
                     make(n, seed_for(n, s)), seed_for(n, s, 977)
                 )
                 queries.append((f"table2-{topology}-{n}-s{s}", query))
+    for topology in TOPOLOGIES:
+        for n in (5, 8):
+            args = argparse.Namespace(topology=topology, n=n, seed=seed_for(n, 0))
+            queries.append((f"cli-{topology}-{n}", _build_query(args)))
     return queries
 
 
@@ -145,6 +161,10 @@ def _run(
 
 def _cases(query_id: str) -> Iterator[tuple[str, str, str, str]]:
     """``(key, cost model, kind, algorithm)`` recorded for one query."""
+    if query_id.startswith("cli-"):
+        for name in CLI_ALGORITHMS:
+            yield f"{query_id}|io|plan|{name}", "io", "plan", name
+        return
     for model_name in COST_MODELS:
         for kind, name in CONFIGURATIONS:
             yield f"{query_id}|{model_name}|{kind}|{name}", model_name, kind, name
