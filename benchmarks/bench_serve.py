@@ -4,15 +4,18 @@ An in-process :class:`~repro.serve.server.PlanServer` is flooded over
 real TCP with the seeded three-phase suite of :mod:`repro.serve.load`
 (warm misses → concurrent repeats → pipelined identical burst; the
 warm+flood portion is exactly 50 % repeated queries).  Results go to
-``BENCH_serve.json``: client-side p50/p99 latency, plans/sec, and the
-server's own hit/miss/dedup accounting.
+``BENCH_serve.json``: client-side p50/p99 latency, plans/sec, the
+server's own hit/miss/dedup accounting, and the family plan cache's
+cell count.
 
 The gates are correctness-first: zero failed requests, zero plans that
 are not bit-identical (cost and wire structure) to direct registry
 optimization, dedup saves > 0, and an overall cache hit rate of at
 least :data:`HIT_RATE_FLOOR` — on this workload anything lower means
 the cross-query cache or the single-flight path regressed, not that the
-machine was slow.
+machine was slow.  The cache holds one cell per distinct answered
+query, so its cell count must be exactly ``unique + 1`` (the unique
+queries plus the burst query); more means sub-plans leaked into it.
 
 Run as a pytest module (what the ``benchmarks`` CI job does for the
 full suite) or directly::
@@ -93,6 +96,10 @@ def run_bench(
             "total_requests": workload.total_requests,
         },
         **report.to_dict(),
+        "cache_cells": sum(
+            summary["occupancy"]
+            for summary in report.server_stats["caches"].values()
+        ),
     }
 
 
@@ -108,6 +115,11 @@ def check_gates(payload: dict[str, Any]) -> None:
     assert payload["hit_rate"] >= HIT_RATE_FLOOR, (
         f"hit rate {payload['hit_rate']:.3f} below the "
         f"{HIT_RATE_FLOOR} floor"
+    )
+    expected_cells = payload["workload"]["unique"] + 1
+    assert payload["cache_cells"] == expected_cells, (
+        f"family cache holds {payload['cache_cells']} cells, expected "
+        f"{expected_cells} (one per distinct answered query)"
     )
 
 
@@ -142,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         f"serve bench: {payload['requests']} requests, "
         f"hit_rate={payload['hit_rate']:.3f} "
         f"dedup_saves={payload['dedup_saves']} "
+        f"cache_cells={payload['cache_cells']} "
         f"p50={payload['latency_p50_ms']:.2f}ms "
         f"p99={payload['latency_p99_ms']:.2f}ms "
         f"plans/s={payload['plans_per_sec']:.1f} -> {path}"

@@ -224,8 +224,7 @@ class TopDownEnumerator:
         self._stride = 2 + len(self._cost_hot.JOIN_METHODS)
         # Pre-resolved memo entry points: the memo view is fixed for the
         # enumerator's lifetime, so one bound-method load here replaces
-        # two attribute hops on every recursion step (~31 % of wall is
-        # this glue, per BENCH_profile.json).
+        # two attribute hops on every recursion step.
         self._memo_get = self._memo_hot.get
         self._memo_plan_for = self._memo_hot.plan_for_query
         self._memo_store_plan = self._memo_hot.store_plan

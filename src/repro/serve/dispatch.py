@@ -1,19 +1,21 @@
-"""Optimizer workers: batches from the queue onto threads, plans into caches.
+"""Optimizer workers: batches from the queue onto threads, answers into caches.
 
 Each batch runs in one worker thread (``asyncio.to_thread``) so the
 event loop stays responsive while CPU-bound enumeration runs; the
-:class:`~repro.memo.GlobalPlanCache` lock added for this tier makes the
-concurrent worker threads safe against each other and against
-event-loop-side lookups.
+:class:`~repro.memo.GlobalPlanCache` lock makes the concurrent worker
+threads' stores safe against each other and against event-loop-side
+lookups.
 
 Plan caches are namespaced by algorithm family (the
 ``config.spec.name`` of :class:`~repro.serve.protocol.OptimizeRequest`):
 every configuration of one family — unbounded, ``%policy``
 memo-bounded, ``?budget`` anytime — searches the same plan space and
 shares one cache, while e.g. left-deep plans can never answer a bushy
-request.  Top-down algorithms attach the family cache as their memo's
-shared tier, so even a *miss* deposits every optimal sub-plan for future
-cross-query reuse; bottom-up baselines only contribute their final plan.
+request.  Every miss is optimized with the optimizer's own memo, and
+only its exact answer is cached: one cell per distinct answered query,
+under the full-query key.  Sub-plans are not shared across requests;
+on serve traffic they were almost never looked up again, and keeping
+them grew the heap without bound.
 """
 
 from __future__ import annotations
@@ -83,32 +85,22 @@ class Dispatcher:
     # -- optimization (worker-thread context) -------------------------------------
 
     def optimize(self, request: OptimizeRequest) -> OptimizeOutcome:
-        """Run one optimization, populating the family cache.
+        """Run one optimization and cache its answer if it is exact.
 
-        Budgeted requests carry the gap report on the outcome; an
-        exhausted search leaves no full-query cell behind (the memo only
-        stores cells it *completed*, so a best-so-far plan can never be
-        served as the champion later).  Ranked requests return the full
-        top-k list; their exhaustive champion pass still deposits every
-        optimal sub-plan in the family cache.
+        Budgeted requests carry the gap report on the outcome; only a
+        search that completed is cached, so a best-so-far plan can never
+        be served as the champion later.  Ranked requests return the
+        full top-k list and cache their champion.
         """
         config = request.config
-        cache = self.cache_for(config.spec.name)
         registry = MetricsRegistry() if self._collect else None
-        top_down = config.spec.top_down
         tracer = self._tracer
         if tracer is not None and not tracer.enabled:
             tracer = None
 
         def run() -> OptimizeOutcome:
-            # Top-down, the shared tier both answers sub-expressions and
-            # receives every stored plan, final full-query cell included.
             optimizer = make_optimizer(
-                config,
-                request.query,
-                registry=registry,
-                tracer=tracer,
-                global_cache=cache if top_down else None,
+                config, request.query, registry=registry, tracer=tracer
             )
             if config.top_k is not None:
                 ranked = optimizer.optimize_topk(config.top_k)
@@ -126,8 +118,8 @@ class Dispatcher:
         else:
             with self._trace_lock:
                 outcome = run()
-        if not top_down:
-            cache.store_plan(
+        if outcome.anytime is None or outcome.anytime.completed:
+            self.cache_for(config.spec.name).store_plan(
                 request.query, request.query.graph.all_vertices,
                 None, outcome.plan,
             )
@@ -142,10 +134,6 @@ class Dispatcher:
         results: list[OptimizeOutcome | BaseException] = []
         for item in items:
             try:
-                # A batch sibling may have just cached this exact query's
-                # sub-plans; the shared memo tier exploits that without a
-                # special case.  The full-query answer cannot already be
-                # present — single-flight guarantees key uniqueness.
                 results.append(self.optimize(item.request))
             except BaseException as exc:  # delivered to the waiters
                 results.append(exc)

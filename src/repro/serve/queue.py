@@ -8,9 +8,8 @@ across concurrent clients:
   duplicate — one optimization fans its answer out to every waiter
   (``dedup_saves`` counts the optimizations avoided);
 * **batching**: dispatch pulls up to ``batch_size`` queued requests of
-  the same serial algorithm family in one go, so a worker thread runs
-  them back-to-back against the same shared plan cache (sub-expression
-  overlap between batch members is resolved in-cache, not re-derived).
+  the same serial algorithm family in one go, so one worker-thread
+  hand-off runs them back-to-back.
 
 The queue is event-loop-confined: every method is called from the
 server's asyncio thread; only resolved *results* cross threads.

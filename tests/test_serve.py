@@ -372,6 +372,63 @@ class TestPlanServerE2E:
         # ... whose cached champion then answers the budgeted twin at gap 0.
         assert third["cached"] and third["anytime"]["gap_bound"] == 0.0
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["TBNmc", "TBNmc%lru:4", "BBNccp", "TBNmc^3", "TBNmcAP?100000n"],
+    )
+    def test_each_answered_request_adds_one_cache_cell(self, algorithm):
+        family = build_request({"algorithm": algorithm, "query": DSL}).config.spec.name
+        graphs = [
+            {"graph": query_graph_payload(weighted_query(shape(n), seed))}
+            for shape, n, seed in ((star, 5, 11), (clique, 5, 7), (star, 6, 3))
+        ]
+
+        async def scenario(server):
+            occupancy = []
+            for k, graph in enumerate(graphs + graphs[:1]):
+                response = await server.handle_payload(
+                    {"id": k, "algorithm": algorithm, **graph}
+                )
+                assert response["status"] == "ok"
+                if "anytime" in response:
+                    assert response["anytime"]["completed"]
+                summaries = server.dispatcher.cache_summaries()
+                occupancy.append(summaries[family]["occupancy"])
+            return occupancy
+
+        # One cell per distinct answered query; the repeat adds none.
+        assert _serve(scenario) == [1, 2, 3, 3]
+
+    def test_reordered_relations_are_answered_by_relabelling(self):
+        query = weighted_query(star(5), 11)
+        writer = query_graph_payload(query)
+        reader = {
+            "relations": writer["relations"][::-1],
+            "predicates": writer["predicates"],
+        }
+        reader_query = build_request({"graph": reader}).query
+        vertex_of = {
+            relation.name: v for v, relation in enumerate(reader_query.relations)
+        }
+
+        async def scenario(server):
+            await server.handle_payload({"id": 1, "graph": writer})
+            return await server.handle_payload({"id": 2, "graph": reader})
+
+        response = _serve(scenario)
+        assert response["status"] == "ok" and response["cached"]
+        assert response["plan"]["cost"] == optimize("TBNmc", reader_query).cost
+
+        def scans(wire):
+            _op, vertices, _cost, _card, _order, relation, children = wire
+            if relation is not None and not children:
+                yield relation, vertices
+            for child in children:
+                yield from scans(child)
+
+        found = dict(scans(response["plan"]["wire"]))
+        assert found == {name: 1 << v for name, v in vertex_of.items()}
+
     def test_rejected_configurations_are_error_responses(self):
         async def scenario(server):
             return await asyncio.gather(*(
