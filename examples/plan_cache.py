@@ -10,7 +10,7 @@ and because the search degrades gracefully when a cell is missing, the
 cache can be capacity-limited with any eviction policy.
 
 This example optimizes a sliding window of chain queries
-(R1⋈R2⋈R3⋈R4, R2⋈R3⋈R4⋈R5, ...) twice: cold (fresh memo each time) and
+(R1⋈R2⋈R3⋈R4, R2⋈R3⋈R4⋈R5, ...) twice: fresh (a new memo each time) and
 warm (one shared GlobalPlanCache), comparing the number of expression
 expansions.
 
@@ -35,11 +35,11 @@ def window_query(start: int, width: int = 4) -> Query:
 
 queries = [window_query(start) for start in range(6)]
 
-cold_total = 0
+fresh_total = 0
 for query in queries:
     metrics = Metrics()
     TopDownEnumerator(query, MinCutLazy(), metrics=metrics).optimize()
-    cold_total += metrics.expressions_expanded
+    fresh_total += metrics.expressions_expanded
 
 cache = GlobalPlanCache()
 warm_total = 0
@@ -47,14 +47,14 @@ costs_match = True
 for query in queries:
     metrics = Metrics()
     warm_plan = TopDownEnumerator(query, MinCutLazy(), memo=cache, metrics=metrics).optimize()
-    cold_plan = TopDownEnumerator(query, MinCutLazy()).optimize()
-    costs_match &= abs(warm_plan.cost - cold_plan.cost) < 1e-9 * cold_plan.cost
+    fresh_plan = TopDownEnumerator(query, MinCutLazy()).optimize()
+    costs_match &= abs(warm_plan.cost - fresh_plan.cost) < 1e-9 * fresh_plan.cost
     warm_total += metrics.expressions_expanded
 
 print(f"{len(queries)} sliding-window queries of 4 relations each")
-print(f"  cold (fresh memo per query): {cold_total} expression expansions")
+print(f"  fresh (new memo per query):  {fresh_total} expression expansions")
 print(f"  warm (shared plan cache):    {warm_total} expression expansions")
-print(f"  saved: {cold_total - warm_total} "
-      f"({100 * (1 - warm_total / cold_total):.0f}% of the work)")
-print(f"  every warm plan identical in cost to its cold plan: {costs_match}")
-assert costs_match and warm_total < cold_total
+print(f"  saved: {fresh_total - warm_total} "
+      f"({100 * (1 - warm_total / fresh_total):.0f}% of the work)")
+print(f"  every warm plan identical in cost to its fresh plan: {costs_match}")
+assert costs_match and warm_total < fresh_total

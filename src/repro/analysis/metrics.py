@@ -61,10 +61,6 @@ class Metrics:
     predicted_prunes: int = 0
     #: Cells evicted from a bounded memo (Section 5.1).
     memo_evictions: int = 0
-    #: Evicted cells demoted into a cold tier instead of dropped.
-    memo_demotions: int = 0
-    #: Memo lookups answered by promoting a cold-tier entry.
-    memo_cold_hits: int = 0
     #: Memo lookups answered read-through from a shared cross-query cache.
     memo_shared_hits: int = 0
     #: Peak number of populated memo cells (plans + lower bounds).

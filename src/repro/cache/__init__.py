@@ -5,8 +5,11 @@ entries may be dropped under memory pressure and simply recomputed on
 demand.  Its experiments (Figures 21-30) use recency (LRU) as the
 eviction signal, and Section 5.1 sketches weighting eviction "by the
 logical description".  This package carries that idea to its conclusion:
-every cell is priced by what it would cost to *recompute*, and eviction,
-demotion, and cross-query reuse all trade against that price.
+every cell is priced by what it would cost to *recompute*, and eviction
+and cross-query reuse trade against that price.  An evicted cell is
+dropped and recomputed on demand: there is no second, compressed tier
+(a wire-format copy of a subtree costs more bytes than the hot cells
+that share its child plans).
 
 Components
 ----------
@@ -20,21 +23,14 @@ Components
     and the cost-aware ``cost`` (GreedyDual: score = global inflation +
     recompute weight).
 
-:mod:`repro.cache.coldtier`
-    A compact second storage tier of wire-format entries
-    (:meth:`~repro.plans.physical.Plan.to_wire`): eviction from the hot
-    dict *demotes* instead of discards, and the cold tier is consulted
-    before recomputing.
-
 :mod:`repro.cache.stats`
-    Hit/miss/eviction/demotion accounting surfaced through
+    Hit/miss/eviction accounting surfaced through
     ``repro optimize --json`` as the ``memo`` block.
 
 :class:`~repro.memo.MemoTable` is the facade over all of this; see
 ``docs/memory.md`` for the user-level story.
 """
 
-from repro.cache.coldtier import ColdTier
 from repro.cache.costing import logical_cost_proxy
 from repro.cache.policies import (
     POLICY_NAMES,
@@ -47,7 +43,6 @@ from repro.cache.stats import CacheStats
 
 __all__ = [
     "CacheStats",
-    "ColdTier",
     "CostPolicy",
     "EvictionPolicy",
     "LRUPolicy",

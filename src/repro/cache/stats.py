@@ -2,11 +2,10 @@
 
 :class:`~repro.analysis.metrics.Metrics` counts what the *search* did
 (lookups, hits, evictions) per optimization run; this dataclass counts
-what the *cache* did, including the tiers the search never sees
-(demotions into the cold tier, cold/shared read-through hits, and the
-recompute cost those hits avoided).  One instance lives on each
-:class:`~repro.memo.MemoTable` and is surfaced as the ``memo`` block of
-``repro optimize --json``.
+what the *cache* did, including what the search never sees (shared
+read-through hits and the recompute cost they avoided).  One instance
+lives on each :class:`~repro.memo.MemoTable` and is surfaced as the
+``memo`` block of ``repro optimize --json``.
 """
 
 from __future__ import annotations
@@ -22,25 +21,19 @@ class CacheStats:
 
     ``recompute_cost_saved`` accumulates the recompute weight (see
     :func:`repro.cache.costing.logical_cost_proxy`) of every cell served
-    from the cold tier or the shared cross-query cache — work the
-    enumerator did *not* redo.
+    from the shared cross-query cache — work the enumerator did *not*
+    redo.
     """
 
-    #: Lookups answered by the hot tier (plan or lower-bound cell).
+    #: Lookups answered by a local cell (plan or lower bound).
     hits: int = 0
-    #: Lookups answered by no tier (the expression must be computed).
+    #: Lookups answered by no cell (the expression must be computed).
     misses: int = 0
-    #: Cells removed from the hot tier by the eviction policy.
+    #: Cells removed by the eviction policy.
     evictions: int = 0
-    #: Evicted cells demoted into the cold tier instead of dropped.
-    demotions: int = 0
-    #: Lookups answered by promoting a cold-tier entry.
-    cold_hits: int = 0
     #: Lookups answered read-through from the shared cross-query cache.
     shared_hits: int = 0
-    #: Cold-tier entries dropped by the cold tier's own capacity bound.
-    cold_evictions: int = 0
-    #: Summed recompute weight of cold/shared hits (work avoided).
+    #: Summed recompute weight of shared hits (work avoided).
     recompute_cost_saved: float = 0.0
 
     def to_dict(self) -> dict[str, int | float]:
@@ -49,10 +42,7 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "demotions": self.demotions,
-            "cold_hits": self.cold_hits,
             "shared_hits": self.shared_hits,
-            "cold_evictions": self.cold_evictions,
             "recompute_cost_saved": self.recompute_cost_saved,
         }
 
@@ -61,8 +51,5 @@ class CacheStats:
         self.hits += other.hits
         self.misses += other.misses
         self.evictions += other.evictions
-        self.demotions += other.demotions
-        self.cold_hits += other.cold_hits
         self.shared_hits += other.shared_hits
-        self.cold_evictions += other.cold_evictions
         self.recompute_cost_saved += other.recompute_cost_saved

@@ -14,7 +14,7 @@ Subcommands::
     repro serve [--port 7411] [--once]         # resident plan service
 
 ``--algorithm`` takes any registry name (``repro.registry``): a Table 1
-name or alias plus the ``%policy[:cap[:cold]]`` bounded memo
+name or alias plus the ``%policy[:cap]`` bounded memo
 (Section 5.1), ``?budget`` anytime and ``^k`` ranking suffixes, e.g.
 ``--algorithm TBNmc%lru:64`` or ``--algorithm TBNmcAP?500n``.  A name
 the registry rejects ends the run with one ``error:`` line and exit
@@ -240,8 +240,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(
             f"memo: {s['policy']} policy, capacity {s['capacity']}, "
             f"{s['hits']} hits / {s['misses']} misses, "
-            f"{s['evictions']} evictions, {s['demotions']} demotions, "
-            f"{s['cold_hits']} cold hits"
+            f"{s['evictions']} evictions"
         )
     if tracer is not None:
         print(f"trace: {span_count} spans -> {args.trace_out}")
@@ -740,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", help="optimize a generated query")
     optimize.add_argument(
         "--algorithm", default="TBNmc",
-        help="registry name with optional %%policy[:cap[:cold]] memo, "
+        help="registry name with optional %%policy[:cap] memo, "
              "?budget anytime and ^k ranking suffixes",
     )
     optimize.add_argument(

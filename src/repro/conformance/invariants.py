@@ -23,7 +23,7 @@ suite, the differential fuzzer (:mod:`repro.conformance.fuzz`), and the
     Accumulated- and predicted-cost pruning (Algorithm 7 / Section 4.2)
     never lose the optimum vs. the unbounded search.
 ``memo-sound``
-    Any memo configuration — eviction policy, capacity, cold tier, shared
+    Any memo configuration — eviction policy, capacity, shared
     cross-query cache — yields the same optimal plan cost as the
     unbounded memo (Section 5.1: the memo is a cache, not a table of
     guaranteed reads).
@@ -355,7 +355,7 @@ def check_memo_soundness(
     base: str = "TBNmc",
     capacity: int | None = None,
 ) -> list[Violation]:
-    """Bounded/tiered/shared memos yield the unbounded optimum (§5.1)."""
+    """Bounded and shared memos yield the unbounded optimum (§5.1)."""
     from repro.memo import GlobalPlanCache
 
     reference = _optimal_cost(base, query)
@@ -369,7 +369,6 @@ def check_memo_soundness(
     configurations = [
         f"{base}%lru:{capacity}",
         f"{base}%cost:{capacity}",
-        f"{base}%cost:{capacity}:{capacity}",
     ]
     for name in configurations:
         bounded = _optimal_cost(name, query)

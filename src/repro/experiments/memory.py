@@ -142,7 +142,7 @@ def run_fig25_30_by_threshold(scale: str = "small") -> ExperimentResult:
 POLICY_BASE = "TBNmc"
 
 #: Workload cells ``(topology, n)`` of the eviction-policy extension;
-#: each runs every policy plus ``cost+cold``.
+#: each runs every policy.
 _POLICY_CELLS_SMALL = (("star", 8), ("clique", 8))
 _POLICY_CELLS_PAPER = _POLICY_CELLS_SMALL + (
     ("clique", 10),
@@ -157,15 +157,13 @@ def run_memory_policies(scale: str = "small") -> ExperimentResult:
     Every cell caps the memo at 50 % of the cells unbounded enumeration
     populates and compares the eviction policies on *recomputed* join
     operators (operators costed beyond the unbounded run's — pure
-    eviction overhead).  ``cost+cold`` is the cost policy with a cold
-    demotion tier of the same size as the hot one, where eviction stops
-    being a loss at all.
+    eviction overhead).
     """
     result = ExperimentResult(
         "memory-policies",
         f"Eviction Policies at 50% Capacity ({POLICY_BASE})",
         ["topology", "n", "cells", "capacity", "policy", "joins_costed",
-         "recomputed", "evictions", "demotions", "cold_hits", "ms", "optimal"],
+         "recomputed", "evictions", "ms", "optimal"],
     )
     cells = _POLICY_CELLS_SMALL if scale == "small" else _POLICY_CELLS_PAPER
     for topology, n in cells:
@@ -177,12 +175,10 @@ def run_memory_policies(scale: str = "small") -> ExperimentResult:
         base_joins = base_metrics.join_operators_costed
         required = unbounded.memo.populated_cells()
         capacity = required // 2
-        variants = [(name, f"%{name}:{capacity}") for name in POLICY_NAMES]
-        variants.append(("cost+cold", f"%cost:{capacity}:{capacity}"))
-        for label, suffix in variants:
+        for policy in POLICY_NAMES:
             metrics = Metrics()
             optimizer = make_optimizer(
-                POLICY_BASE + suffix, query, metrics=metrics
+                f"{POLICY_BASE}%{policy}:{capacity}", query, metrics=metrics
             )
             elapsed, plan = time_call(optimizer.optimize)
             result.add_row(
@@ -190,19 +186,16 @@ def run_memory_policies(scale: str = "small") -> ExperimentResult:
                 n=n,
                 cells=required,
                 capacity=capacity,
-                policy=label,
+                policy=policy,
                 joins_costed=metrics.join_operators_costed,
                 recomputed=metrics.join_operators_costed - base_joins,
                 evictions=optimizer.memo.stats.evictions,
-                demotions=optimizer.memo.stats.demotions,
-                cold_hits=optimizer.memo.stats.cold_hits,
                 ms=elapsed * 1e3,
                 optimal=plan.cost == best.cost,
             )
     result.notes.append(
         "expect: every policy stays optimal; on the dense (clique) cells "
-        "cost recomputes fewer join operators than lru at equal capacity, "
-        "and the cold tier removes recomputation almost entirely"
+        "cost recomputes fewer join operators than lru at equal capacity"
     )
     return result
 

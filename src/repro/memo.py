@@ -7,13 +7,11 @@ simply recomputes it.  :class:`MemoTable` therefore supports an optional
 cell capacity (the CPU/storage trade-off experiments of Figures 21–30)
 with pluggable eviction from :mod:`repro.cache.policies` — the paper's
 ``lru`` baseline plus the cost-aware ``cost`` policy driven by each
-cell's logical recompute weight (:mod:`repro.cache.costing`).  Two
-further tiers soften capacity misses: an optional *cold tier*
-(``cold_capacity``) keeps evicted cells in compact wire format so
-eviction is a demotion rather than a loss, and an optional *shared*
-:class:`GlobalPlanCache` is consulted read-through (and populated
-write-through) so plans survive across queries (the ``Q1``/``Q2``
-example of Section 5.1).
+cell's logical recompute weight (:mod:`repro.cache.costing`).  An
+evicted cell is simply gone and is recomputed on demand.  An optional
+*shared* :class:`GlobalPlanCache` is consulted read-through (and
+populated write-through) so plans survive across queries (the
+``Q1``/``Q2`` example of Section 5.1).
 
 A populated cell stores either an optimal :class:`~repro.plans.physical.Plan`
 or — for accumulated-cost bounding (Algorithm 7) — a *lower bound*: the
@@ -27,9 +25,8 @@ A lower-bound cell left by a join expansion also keeps that expansion's
 candidate :class:`Frontier`, so a re-expansion under a larger budget
 replays it instead of partitioning and costing again.  The frontier lives
 and dies with its cell: a capped memo evicts it with the cell, a plan
-store replaces it, and neither the cold tier nor the shared cross-query
-cache carries it.  It adds no footprint units, so a
-capacity bounds cells, not bytes.
+store replaces it, and the shared cross-query cache never carries it.
+It adds no footprint units, so a capacity bounds cells, not bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional
 
 from repro.analysis.metrics import Metrics
-from repro.cache.coldtier import ColdTier
 from repro.cache.costing import logical_cost_proxy
 from repro.cache.policies import POLICY_NAMES, make_policy
 from repro.cache.stats import CacheStats
@@ -86,8 +82,8 @@ class MemoEntry:
     ``ranked_k`` recording the k it was computed under (``len(ranked) <
     ranked_k`` means the expression has fewer than k plans in total, so
     the list is exhaustive).  Ranked cells occupy ``len(ranked)``
-    footprint units against a bounded memo's capacity; demotion to the
-    cold tier and shared write-through keep the champion only.
+    footprint units against a bounded memo's capacity; shared
+    write-through keeps the champion only.
 
     A lower-bound cell may carry the failed expansion's ``frontier``
     (see :class:`Frontier`); it adds no footprint units.  So a capacity
@@ -119,21 +115,17 @@ class MemoTable:
     Parameters
     ----------
     capacity:
-        Maximum number of populated hot cells, or ``None`` for unbounded.
+        Maximum number of populated cells, or ``None`` for unbounded.
         ``0`` disables storage entirely (every expression is recomputed on
         demand — the "0 %" point of Figure 30).
     metrics:
-        Optional counter sink for evictions, demotions, tier hits, and
-        peak occupancy.
+        Optional counter sink for evictions, shared hits, and peak
+        occupancy.
     policy:
         Eviction policy when over capacity: ``"lru"`` (the paper's
         experiments) or ``"cost"`` (GreedyDual over each cell's
         :func:`~repro.cache.costing.logical_cost_proxy`, Section 5.1's
         logical-description weighting).
-    cold_capacity:
-        Size of the cold demotion tier (``0`` = no cold tier, ``None`` =
-        unbounded): evicted cells are kept in wire format and promoted
-        back on lookup instead of being recomputed.
     shared:
         Optional :class:`GlobalPlanCache` consulted read-through on local
         misses and populated write-through on plan stores, giving
@@ -148,7 +140,6 @@ class MemoTable:
         metrics: Metrics | None = None,
         policy: str = "lru",
         *,
-        cold_capacity: int | None = 0,
         shared: "GlobalPlanCache | None" = None,
     ) -> None:
         if capacity is not None and capacity < 0:
@@ -159,25 +150,17 @@ class MemoTable:
         self._policy.bind(self._weight_of)
         self.shared = shared
         self.stats = CacheStats()
-        if cold_capacity == 0:
-            self._cold: ColdTier | None = None
-        else:
-            self._cold = ColdTier(cold_capacity)
         self._cells: OrderedDict[Hashable, MemoEntry] = OrderedDict()
         self._weights: dict[Hashable, float] = {}
         #: Capacity units occupied (== cell count until ranked cells appear).
         self._footprint = 0
-        # Per-cell weights are bookkept only when something consumes them:
-        # a weight-driven policy or the cold tier (which reports the
-        # recompute cost a promotion saved).
-        self._track_weights = capacity is not None and capacity > 0 and (
-            self._policy.uses_weights or self._cold is not None
+        # Per-cell weights are bookkept only for a weight-driven policy.
+        self._track_weights = (
+            capacity is not None and capacity > 0 and self._policy.uses_weights
         )
         self._profiler: KernelProfiler = NULL_PROFILER
         self._h_occupancy: Histogram | None = None
         self._c_evictions: Counter | None = None
-        self._c_demotions: Counter | None = None
-        self._c_cold_hits: Counter | None = None
         self._c_shared_hits: Counter | None = None
 
     @property
@@ -185,23 +168,16 @@ class MemoTable:
         """Name of the active eviction policy."""
         return self._policy.name
 
-    @property
-    def cold_capacity(self) -> int | None:
-        """Cold-tier capacity (``0`` when no cold tier is configured)."""
-        return 0 if self._cold is None else self._cold.capacity
-
     def attach_registry(self, registry: "MetricsRegistry") -> None:
         """Feed occupancy-over-time and eviction telemetry into ``registry``.
 
         Every store observes the populated-cell count, giving the occupancy
-        series of the Figures 21–30 storage experiments;
-        eviction/demotion/tier-hit counters complete the memory-hierarchy
-        picture.  (The registry import stays lazy so the module is
-        import-light; the *type* is only needed when type checking.)
+        series of the Figures 21–30 storage experiments; eviction and
+        shared-hit counters complete the picture.  (The registry import
+        stays lazy so the module is import-light; the *type* is only
+        needed when type checking.)
         """
         from repro.obs.registry import (
-            MEMO_COLD_HITS,
-            MEMO_DEMOTIONS,
             MEMO_EVICTIONS,
             MEMO_OCCUPANCY,
             MEMO_SHARED_HITS,
@@ -209,12 +185,10 @@ class MemoTable:
 
         self._h_occupancy = registry.histogram(MEMO_OCCUPANCY)
         self._c_evictions = registry.counter(MEMO_EVICTIONS)
-        self._c_demotions = registry.counter(MEMO_DEMOTIONS)
-        self._c_cold_hits = registry.counter(MEMO_COLD_HITS)
         self._c_shared_hits = registry.counter(MEMO_SHARED_HITS)
 
     def attach_profiler(self, profiler: KernelProfiler) -> None:
-        """Bill eviction/demotion work to the ``memo.table`` kernel.
+        """Bill eviction work to the ``memo.table`` kernel.
 
         Probe/decode/store calls are billed at the call site (the
         enumerator wraps the table in
@@ -231,32 +205,13 @@ class MemoTable:
         return self._weights.get(key, 1.0)
 
     def _evict_one(self) -> None:
-        """Demote (or drop) one cell according to the eviction policy.
-
-        Ranked cells demote champion-only: the wire format (and thus the
-        cold tier) carries one plan, so the ranked tail is the price of
-        eviction — exactly the k× footprint pressure the eviction-quality
-        experiments exercise.
-        """
+        """Drop one cell according to the eviction policy."""
         victim = self._policy.choose_victim(self._cells)
         entry = self._cells.pop(victim)
         self._footprint -= entry.footprint
         self._policy.on_remove(victim)
-        weight = self._weights.pop(victim, 1.0) if self._track_weights else 1.0
-        if self._cold is not None:
-            self._cold.put(
-                victim,
-                None if entry.plan is None else entry.plan.to_wire(),
-                entry.lower_bound,
-                weight,
-            )
-            self.stats.demotions += 1
-            if self.metrics is not None:
-                self.metrics.memo_demotions += 1
-            if self._c_demotions is not None:
-                self._c_demotions.inc()
-            if self._profiler.enabled:
-                self._profiler.count(KERNEL_MEMO, "demotions")
+        if self._track_weights:
+            del self._weights[victim]
         self.stats.evictions += 1
         if self.metrics is not None:
             self.metrics.memo_evictions += 1
@@ -278,12 +233,11 @@ class MemoTable:
     # -- access ------------------------------------------------------------------
 
     def get(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
-        """Look up a cell through every tier: hot, cold, shared.
+        """Look up a cell locally, then in the shared cache.
 
-        A hot *plan* cell refreshes its policy position (recency/score);
+        A local *plan* cell refreshes its policy position (recency/score);
         lower-bound-only cells do not, so budget scratch state cannot
-        displace full plans.  A cold hit promotes the demoted entry back
-        into the hot tier; a shared hit relabels the cross-query plan
+        displace full plans.  A shared hit relabels the cross-query plan
         into this query's numbering and caches it locally.
         """
         key = self.key_for(query, subset, order)
@@ -293,23 +247,6 @@ class MemoTable:
             if self.capacity is not None and entry.has_plan:
                 self._policy.touch(self._cells, key)
             return entry
-        if self._cold is not None:
-            demoted = self._cold.take(key)
-            if demoted is not None:
-                entry = MemoEntry(
-                    plan=None
-                    if demoted.plan_wire is None
-                    else Plan.from_wire(demoted.plan_wire),
-                    lower_bound=demoted.lower_bound,
-                )
-                self.stats.cold_hits += 1
-                self.stats.recompute_cost_saved += demoted.weight
-                if self.metrics is not None:
-                    self.metrics.memo_cold_hits += 1
-                if self._c_cold_hits is not None:
-                    self._c_cold_hits.inc()
-                self._store(key, entry, weight=demoted.weight)
-                return entry
         if self.shared is not None and self.shared is not self:
             shared_entry = self.shared.get(query, subset, order)
             if shared_entry is not None and shared_entry.has_plan:
@@ -329,9 +266,9 @@ class MemoTable:
         return None
 
     def direct_cells(self) -> "dict[Hashable, MemoEntry] | None":
-        """The hot cells, for callers that read a hit without :meth:`get`.
+        """The local cells, for callers that read a hit without :meth:`get`.
 
-        Returned only when a hot hit through :meth:`get` is a plain dict
+        Returned only when a local hit through :meth:`get` is a plain dict
         read plus ``stats.hits += 1``: the table is exactly
         ``MemoTable`` (subclasses may rekey, relabel or instrument
         lookups) and has no capacity (no recency refresh on a hit).  A
@@ -339,14 +276,14 @@ class MemoTable:
         its budget, a lower bound at or above it), from the cells, and
         must count it in ``stats.hits``; only a miss and a lower bound
         below the budget must go through :meth:`get`, which also consults
-        the cold and shared tiers.  ``None`` otherwise.
+        the shared cache.  ``None`` otherwise.
         """
         if type(self) is MemoTable and self.capacity is None:
             return self._cells
         return None
 
     def peek(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
-        """Hot-tier-only lookup: no promotion, no recency, no stats."""
+        """Local-only lookup: no shared read-through, no recency, no stats."""
         return self._cells.get(self.key_for(query, subset, order))
 
     def store_plan(
@@ -356,7 +293,7 @@ class MemoTable:
         order: int | None,
         plan: Plan,
     ) -> None:
-        """Store an optimal plan, evicting/demoting cells if over capacity."""
+        """Store an optimal plan, evicting cells if over capacity."""
         key = self.key_for(query, subset, order)
         weight = None
         if self._track_weights:
@@ -495,7 +432,7 @@ class MemoTable:
         return len(self._cells)
 
     def populated_cells(self) -> int:
-        """Cells currently storing a plan or a lower bound (hot tier)."""
+        """Cells currently storing a plan or a lower bound."""
         return len(self._cells)
 
     def plan_cells(self) -> int:
@@ -506,37 +443,27 @@ class MemoTable:
         """Cells currently storing only a lower bound."""
         return sum(1 for e in self._cells.values() if not e.has_plan)
 
-    def cold_cells(self) -> int:
-        """Entries currently resident in the cold tier."""
-        return 0 if self._cold is None else len(self._cold)
-
     def summary(self) -> dict[str, object]:
         """The ``memo`` block of ``repro optimize --json``."""
         result: dict[str, object] = {
             "policy": self.policy,
             "capacity": self.capacity,
-            "cold_capacity": self.cold_capacity,
             "occupancy": len(self._cells),
             "footprint": self._footprint,
             "plan_cells": self.plan_cells(),
             "bound_cells": self.bound_cells(),
             "ranked_cells": self.ranked_cells(),
-            "cold_cells": self.cold_cells(),
             "shared": self.shared is not None,
         }
         result.update(self.stats.to_dict())
-        if self._cold is not None:
-            result["cold_evictions"] = self._cold.evictions
         return result
 
     def clear(self) -> None:
-        """Drop every cell (all tiers) and all policy state."""
+        """Drop every cell and all policy state."""
         self._cells.clear()
         self._weights.clear()
         self._footprint = 0
         self._policy.reset()
-        if self._cold is not None:
-            self._cold.clear()
 
 
 def canonical_expression_key(
@@ -595,7 +522,7 @@ class GlobalPlanCache(MemoTable):
     serve tier probes and populates it from concurrent optimizer worker
     threads.  Every public entry point therefore serializes on one
     reentrant lock: lookups mutate policy recency order and stores can
-    trigger eviction/demotion chains, either of which corrupts the
+    trigger eviction chains, either of which corrupts the
     underlying ``OrderedDict`` under unsynchronized concurrent access.
     """
 
@@ -604,15 +531,8 @@ class GlobalPlanCache(MemoTable):
         capacity: int | None = None,
         metrics: Metrics | None = None,
         policy: str = "lru",
-        *,
-        cold_capacity: int | None = 0,
     ) -> None:
-        super().__init__(
-            capacity=capacity,
-            metrics=metrics,
-            policy=policy,
-            cold_capacity=cold_capacity,
-        )
+        super().__init__(capacity=capacity, metrics=metrics, policy=policy)
         self._lock = threading.RLock()
 
     def key_for(self, query: Query, subset: int, order: int | None) -> Hashable:
@@ -622,7 +542,7 @@ class GlobalPlanCache(MemoTable):
 
     # -- concurrency --------------------------------------------------------------
     #
-    # Reentrant because get can recurse into _store (cold promotion);
+    # Every entry point that touches the cells takes the lock;
     # plan_for_query stays lock-free (it only reads an immutable entry
     # already handed to the caller).
 

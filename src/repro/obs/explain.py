@@ -3,8 +3,8 @@
 Section 3/4 of the paper analyse *why* an expression was (or was not)
 explored: what budget the accumulated-cost search carried in, how many
 partitions the predicted-cost test pruned, and which child lookups the
-memo answered outright, with a stored lower bound, from the cold tier, or
-from a cross-query shared cache.  A recorded span trace contains all of
+memo answered outright, with a stored lower bound, or from a cross-query
+shared cache.  A recorded span trace contains all of
 that — this module folds it into one ledger row per expression so a run
 can be audited after the fact, from a live
 :class:`~repro.obs.tracer.RecordingTracer` or a reloaded JSONL dump
@@ -53,7 +53,6 @@ class LedgerEntry:
     memo_hits: int
     memo_bound_hits: int
     predicted_prunes: int
-    memo_cold_hits: int
     memo_shared_hits: int
     #: Partitions emitted while computing this expression.
     partitions: int
@@ -110,9 +109,6 @@ def bounding_ledger(
                 memo_hits=sum(span.memo_hits for span in spans),
                 memo_bound_hits=sum(span.memo_bound_hits for span in spans),
                 predicted_prunes=sum(span.predicted_prunes for span in spans),
-                memo_cold_hits=sum(
-                    span.counters.get("memo_cold_hits", 0) for span in spans
-                ),
                 memo_shared_hits=sum(
                     span.counters.get("memo_shared_hits", 0) for span in spans
                 ),
@@ -141,7 +137,7 @@ def render_ledger(
     lines = [
         f"{'expression'.ljust(width)}  {'cost':>12}  {'budget in':>12}  "
         f"{'fail':>4}  {'hits':>5}  {'bound':>5}  {'prune':>5}  "
-        f"{'cold':>4}  {'shared':>6}  {'parts':>6}"
+        f"{'shared':>6}  {'parts':>6}"
     ]
     for entry, label in zip(shown, labels):
         cost = "-" if entry.best_cost is None else f"{entry.best_cost:.6g}"
@@ -150,7 +146,7 @@ def render_ledger(
             f"{label.ljust(width)}  {cost:>12}  {budget:>12}  "
             f"{entry.budget_failures:>4}  {entry.memo_hits:>5}  "
             f"{entry.memo_bound_hits:>5}  {entry.predicted_prunes:>5}  "
-            f"{entry.memo_cold_hits:>4}  {entry.memo_shared_hits:>6}  "
+            f"{entry.memo_shared_hits:>6}  "
             f"{entry.partitions:>6}"
         )
     hidden = len(entries) - len(shown)

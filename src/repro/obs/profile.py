@@ -272,7 +272,7 @@ class ProfiledMemoCalls:
     A duck-typed stand-in for the hot subset of the
     :class:`~repro.memo.MemoTable` API the enumerator calls per recursion
     step; everything else (setup, summaries) still goes through the
-    wrapped table directly.  Eviction/demotion counts are reported by the
+    wrapped table directly.  Eviction counts are reported by the
     memo itself via :meth:`~repro.memo.MemoTable.attach_profiler`.
     """
 

@@ -26,8 +26,6 @@ __all__ = [
     "TIME_BETWEEN_JOINS",
     "MEMO_OCCUPANCY",
     "MEMO_EVICTIONS",
-    "MEMO_DEMOTIONS",
-    "MEMO_COLD_HITS",
     "MEMO_SHARED_HITS",
     "SERVE_REQUESTS",
     "SERVE_CACHE_HITS",
@@ -48,8 +46,6 @@ PARTITIONS_PER_EXPRESSION = "partitions_per_expression"
 TIME_BETWEEN_JOINS = "time_between_joins_us"
 MEMO_OCCUPANCY = "memo_occupancy"
 MEMO_EVICTIONS = "memo_evictions"
-MEMO_DEMOTIONS = "memo_demotions"
-MEMO_COLD_HITS = "memo_cold_hits"
 MEMO_SHARED_HITS = "memo_shared_hits"
 
 #: Instruments of the ``repro.serve`` tier (counters unless noted).

@@ -135,8 +135,7 @@ class Plan:
     def to_wire(self) -> PlanWire:
         """Compact pickle-safe encoding (nested tuples, no class refs).
 
-        Used by the memo's cold tier to keep demoted plans without a
-        ``Plan`` object per node, and by the plan service's responses;
+        Used by the plan service's responses and the golden-plan file;
         round-trips exactly through :meth:`from_wire`.
         """
         return (

@@ -21,10 +21,9 @@ to the Table 1 names; see :data:`ALGORITHM_ALIASES`.
 Three optional suffixes configure the run; each may appear once, in any
 order, and all need a top-down algorithm:
 
-* ``%policy[:capacity[:cold]]`` — a capacity-bounded memo with the named
-  eviction policy (Section 5.1 / Figures 21–30): ``TBNmc%lru:64``, or
-  ``TBNmc%cost:64:128`` with a 128-entry cold demotion tier.  Policies:
-  ``lru`` and ``cost``;
+* ``%policy[:capacity]`` — a capacity-bounded memo with the named
+  eviction policy (Section 5.1 / Figures 21–30): ``TBNmc%lru:64`` or
+  ``TBNmc%cost:64``.  Policies: ``lru`` and ``cost``;
 * ``?budget`` — anytime search (``docs/anytime.md``): ``TBNmc?250ms``
   bounds wall clock, ``TBNmc?5000n`` memo-missed expression computations
   (deterministic), ``TBNmc?250ms:5000n`` both.  ``optimize()`` then
@@ -36,7 +35,7 @@ order, and all need a top-down algorithm:
 
 :meth:`OptimizerConfig.parse` is the one parser of this grammar and
 ``str(config)`` the one formatter; the canonical order is
-``base%policy:cap:cold?budget^k``, e.g. ``TBNmc%cost:64?250ms``.
+``base%policy:cap?budget^k``, e.g. ``TBNmc%cost:64?250ms``.
 """
 
 from __future__ import annotations
@@ -156,38 +155,32 @@ def _count(text: str, what: str) -> int:
 
 @dataclass(frozen=True)
 class MemoSpec:
-    """A bounded memo: the ``%policy[:capacity[:cold]]`` suffix body."""
+    """A bounded memo: the ``%policy[:capacity]`` suffix body."""
 
     policy: str
     capacity: int | None = None
-    cold_capacity: int = 0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown memo policy {self.policy!r}; use one of {POLICY_NAMES}"
             )
-        if self.capacity is None and self.cold_capacity:
-            raise ValueError("a cold memo tier needs a capacity")
 
     @classmethod
     def parse_token(cls, text: str) -> MemoSpec:
-        """Parse a suffix body: ``cost``, ``cost:64``, ``cost:64:128``."""
+        """Parse a suffix body: ``cost`` or ``cost:64``."""
         policy, *sizes = text.split(":")
-        if len(sizes) > 2:
+        if len(sizes) > 1:
             raise ValueError(
-                f"malformed memo suffix {text!r}; expected %policy[:capacity[:cold]]"
+                f"malformed memo suffix {text!r}; expected %policy[:capacity]"
             )
         return cls(policy.lower(), *(_count(size, "memo capacity") for size in sizes))
 
     def token(self) -> str:
-        """The canonical suffix body (a zero cold tier is left out)."""
-        parts = [self.policy]
-        if self.capacity is not None:
-            parts.append(str(self.capacity))
-            if self.cold_capacity:
-                parts.append(str(self.cold_capacity))
-        return ":".join(parts)
+        """The canonical suffix body."""
+        if self.capacity is None:
+            return self.policy
+        return f"{self.policy}:{self.capacity}"
 
 
 @dataclass(frozen=True)
@@ -353,7 +346,6 @@ def conformance_matrix(
             "TBNmcP",
             "TBNmcAP",
             f"TBNmc%cost:{memo_capacity}",
-            f"TBNmc%lru:{memo_capacity}:{memo_capacity}",
         ),
         "left-deep-cp-free": (
             "TLNmc",
@@ -442,7 +434,6 @@ def make_optimizer(
         memo = MemoTable(
             capacity=memo_spec.capacity,
             policy=memo_spec.policy,
-            cold_capacity=memo_spec.cold_capacity,
             shared=global_cache,
         )
     if profiler is not None and not spec.top_down:

@@ -74,10 +74,14 @@ class Dispatcher:
             return cache
 
     def lookup(self, request: OptimizeRequest) -> Plan | None:
-        """Probe the family cache for the request's full-query plan."""
+        """Probe the family cache for the request's full-query plan.
+
+        The probe goes through :meth:`~repro.memo.MemoTable.get`, so the
+        family's ``hits``/``misses`` in the ``stats`` op count it.
+        """
         cache = self.cache_for(request.config.spec.name)
         full = request.query.graph.all_vertices
-        entry = cache.peek(request.query, full, None)
+        entry = cache.get(request.query, full, None)
         if entry is None or not entry.has_plan:
             return None
         return cache.plan_for_query(request.query, entry)

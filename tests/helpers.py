@@ -50,6 +50,14 @@ TOPOLOGIES: dict[str, Callable[[int], JoinGraph]] = {
     "grid": lambda n: grid(2, max(1, n // 2)),
 }
 
+#: Memo suffixes the grammar no longer accepts, each with the fragment of
+#: the error that every surface (registry, CLI, serve) reports for it.
+RETIRED_MEMO_SUFFIXES = {
+    "TBNmc%smallest:8": "('lru', 'cost')",
+    "TBNmc%profile:8": "('lru', 'cost')",
+    "TBNmc%lru:8:8": "expected %policy[:capacity]",
+}
+
 
 def make_graph(topology: str, n: int, seed: int = DEFAULT_SEED) -> JoinGraph:
     """Build a named topology; ``random``/``tree`` shapes consume the seed."""

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.helpers import RETIRED_MEMO_SUFFIXES
+
 
 class TestParser:
     def test_requires_command(self):
@@ -286,9 +288,9 @@ class TestMemoCli:
 
     def test_memo_flags_parse(self):
         args = build_parser().parse_args([
-            "optimize", "--algorithm", "TBNmc%cost:64:32",
+            "optimize", "--algorithm", "TBNmc%cost:64",
         ])
-        assert args.algorithm == "TBNmc%cost:64:32"
+        assert args.algorithm == "TBNmc%cost:64"
 
     def test_memo_policy_rejects_unknown(self, capsys):
         assert main(["optimize", "--algorithm", "TBNmc%random"]) == 2
@@ -304,18 +306,17 @@ class TestMemoCli:
         assert memo["capacity"] == 10
         assert memo["occupancy"] <= 10
         assert memo["evictions"] > 0
-        for field in ("hits", "misses", "demotions", "cold_hits",
-                      "shared_hits", "recompute_cost_saved"):
+        for field in ("hits", "misses", "shared_hits", "recompute_cost_saved"):
             assert field in memo
 
     def test_bounded_memo_matches_unbounded_cost(self, capsys):
         base = ["optimize", "--topology", "clique", "--n", "6",
                 "--seed", "5", "--json"]
         unbounded = self._json_of(capsys, base)
-        bounded = self._json_of(capsys, base + ["--algorithm", "TBNmc%cost:8:8"])
+        bounded = self._json_of(capsys, base + ["--algorithm", "TBNmc%cost:8"])
         assert bounded["cost"] == unbounded["cost"]
         assert bounded["plan"] == unbounded["plan"]
-        assert bounded["memo"]["demotions"] > 0
+        assert bounded["memo"]["evictions"] > 0
 
     def test_text_mode_prints_memo_line(self, capsys):
         assert main([
@@ -333,12 +334,12 @@ class TestMemoCli:
         assert payload["memo"]["policy"] == "cost"
         assert payload["memo"]["capacity"] == 16
 
-    @pytest.mark.parametrize("algorithm", ["TBNmc%profile:8", "TBNmc%smallest:8"])
+    @pytest.mark.parametrize("algorithm", list(RETIRED_MEMO_SUFFIXES))
     def test_retired_policy_is_one_error_line(self, capsys, algorithm):
         assert main(["optimize", "--algorithm", algorithm, "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "('lru', 'cost')" in err
+        assert RETIRED_MEMO_SUFFIXES[algorithm] in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,6 +7,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ExperimentResult, graph_maker, seed_for
 from repro.experiments.memory import THRESHOLDS, required_cells
 from repro.experiments.table2 import TOPOLOGIES
+from repro.memo import MemoTable
 from repro.registry import make_optimizer
 from repro.workloads import chain, cycle, star, weighted_query
 
@@ -217,6 +218,29 @@ class TestMemoryExperiment:
         # always reduces visits, so A beats P at the largest size.
         last = max(zero, key=lambda r: r["n"])
         assert last["A_rel"] < last["P_rel"]
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_fig25_30_zero_storage_A_beats_P_in_work(self, n):
+        """Deterministic companion of the wall-time check above: with no
+        memo at all, accumulated-cost bounding costs strictly fewer join
+        operators than predicted-cost bounding and expands no more
+        expressions, on every seed of the Figs. 25–30 grid."""
+        for s in range(4):
+            query = weighted_query(star(n), seed_for(n, s, 31))
+            work = {}
+            for name in ("TLNmcA", "TLNmcP"):
+                optimizer = make_optimizer(
+                    name, query, memo=MemoTable(capacity=0)
+                )
+                optimizer.optimize()
+                metrics = optimizer.metrics
+                work[name] = (
+                    metrics.join_operators_costed,
+                    metrics.expressions_expanded,
+                )
+            accumulated, predicted = work["TLNmcA"], work["TLNmcP"]
+            assert accumulated[0] < predicted[0], (s, work)
+            assert accumulated[1] <= predicted[1], (s, work)
 
     def test_thresholds_cover_paper_grid(self):
         assert THRESHOLDS == (1.0, 0.25, 0.10, 0.05, 0.01, 0.0)

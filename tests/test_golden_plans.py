@@ -68,7 +68,6 @@ MATRIX_TOP_DOWN = (
     "TBNmcP",
     "TBNmcAP",
     "TBNmc%cost:24",
-    "TBNmc%lru:24:24",
     "TLNmc",
     "TLNnaive",
     "TLNmcA",

@@ -313,15 +313,6 @@ class TestFrontierCells:
         memo.store_plan(query, 1, None, scan(query, 0))
         assert memo.get(query, 1, None).frontier is None
 
-    def test_cold_demotion_round_trip_drops_frontier(self, query):
-        memo = MemoTable(capacity=1, cold_capacity=None)
-        memo.store_lower_bound(query, 3, None, 12.5, frontier=_frontier())
-        memo.store_plan(query, 1, None, scan(query, 0))  # demotes subset 3
-        assert memo.peek(query, 3, None) is None
-        entry = memo.get(query, 3, None)  # promoted from the cold tier
-        assert entry.lower_bound == 12.5
-        assert entry.frontier is None
-
     def test_shared_cache_drops_frontier(self, query):
         cache = GlobalPlanCache()
         cache.store_lower_bound(query, 3, None, 12.5, frontier=_frontier())

@@ -510,11 +510,7 @@ class TestTracingNeverChangesTheWork:
         unbounded = make_optimizer("TBNmc", query)
         unbounded.optimize()
         capacity = unbounded.memo.populated_cells() // 2
-        for name in (
-            f"TBNmc%cost:{capacity}",
-            f"TBNmc%cost:{capacity}:{capacity}",
-            f"TBNmc%lru:{capacity}:{capacity}",
-        ):
+        for name in (f"TBNmc%cost:{capacity}", f"TBNmc%lru:{capacity}"):
             bare = make_optimizer(name, query, metrics=Metrics())
             bare_plan = bare.optimize()
             traced = []

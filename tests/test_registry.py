@@ -125,7 +125,7 @@ class TestConstruction:
 
 
 class TestMemoSpecParsing:
-    """The ``%policy[:capacity[:cold]]`` memo-bounding grammar."""
+    """The ``%policy[:capacity]`` memo-bounding grammar."""
 
     def test_plain_name_has_no_spec(self):
         assert OptimizerConfig.parse("TBNmc").memo is None
@@ -133,11 +133,15 @@ class TestMemoSpecParsing:
     def test_policy_only(self):
         config = OptimizerConfig.parse("TBNmc%cost")
         assert config.spec == parse_name("TBNmc")
-        assert config.memo == MemoSpec(policy="cost", capacity=None, cold_capacity=0)
+        assert config.memo == MemoSpec(policy="cost", capacity=None)
 
     def test_policy_capacity_cold(self):
-        memo = OptimizerConfig.parse("TBNmc%lru:64:32").memo
-        assert memo == MemoSpec(policy="lru", capacity=64, cold_capacity=32)
+        """A capacity parses; the retired third (cold-tier) field does not."""
+        memo = OptimizerConfig.parse("TBNmc%lru:64").memo
+        assert memo == MemoSpec(policy="lru", capacity=64)
+        for name in ("TBNmc%lru:64:32", "TBNmc%lru:8:8"):
+            with pytest.raises(ValueError, match=r"expected %policy\[:capacity\]$"):
+                OptimizerConfig.parse(name)
 
     def test_suffixes_in_either_order(self):
         expected = OptimizerConfig(
@@ -156,7 +160,7 @@ class TestMemoSpecParsing:
             "TBNmc%random",        # unknown policy
             "TBNmc%cost:abc",      # non-integer capacity
             "TBNmc%cost:-1",       # negative capacity
-            "TBNmc%cost:8:x",      # non-integer cold capacity
+            "TBNmc%cost:8:x",      # a third part
             "TBNmc%cost:8:4:2",    # too many parts
             "TBNmc%cost:8%lru",    # two memo suffixes
         ):
@@ -168,11 +172,10 @@ class TestMemoSpecParsing:
         for name in (f"TBNmc%{retired}:8", f"TBNmc%{retired}"):
             with pytest.raises(ValueError, match=r"\('lru', 'cost'\)"):
                 OptimizerConfig.parse(name)
-
     def test_alias_resolution_preserves_spec(self):
         parse = OptimizerConfig.parse
         assert parse("mincutlazy%cost:64") == parse("TBNmc%cost:64")
-        assert parse("mincutlazy%cost:64:32^2").memo == MemoSpec("cost", 64, 32)
+        assert parse("mincutlazy%cost:64^2").memo == MemoSpec("cost", 64)
         assert parse("mincut%lru:8?5n").budget == Budget.nodes(5)
 
     def test_parse_name_ignores_spec(self):
@@ -185,11 +188,10 @@ class TestMemoConstruction:
 
     def test_suffix_builds_bounded_memo(self):
         query = weighted_query(chain(4), 1)
-        optimizer = make_optimizer("TBNmc%cost:16:8", query)
+        optimizer = make_optimizer("TBNmc%cost:16", query)
         memo = optimizer.memo
         assert memo.policy == "cost"
         assert memo.capacity == 16
-        assert memo.cold_capacity == 8
 
     def test_policy_without_capacity_is_unbounded(self):
         query = weighted_query(chain(4), 1)
@@ -220,7 +222,7 @@ class TestMemoConstruction:
     def test_spec_runs_optimally(self):
         query = weighted_query(chain(6), 3)
         best = make_optimizer("TBNmc", query).optimize()
-        plan = make_optimizer("TBNmc%cost:8:4", query).optimize()
+        plan = make_optimizer("TBNmc%cost:8", query).optimize()
         assert plan.cost == best.cost
 
 
@@ -232,13 +234,12 @@ CANONICAL_NAMES = [
     ("tbnmcap%lru", "TBNmcAP%lru"),
     ("TBNmc%cost", "TBNmc%cost"),
     ("TBNmc%COST:8", "TBNmc%cost:8"),
-    ("TBNmc%lru:64:32", "TBNmc%lru:64:32"),
-    ("TBNmc%cost:64:0", "TBNmc%cost:64"),
+    ("TBNmc%lru:64", "TBNmc%lru:64"),
     ("TBNmc%cost:64?250ms", "TBNmc%cost:64?250ms"),
     ("TBNmc?250ms%cost:64", "TBNmc%cost:64?250ms"),
     ("TBNmc^4%lru", "TBNmc%lru^4"),
     ("mincutlazy%cost:64", "TBNmc%cost:64"),
-    ("mincutlazy%cost:64:32^2", "TBNmc%cost:64:32^2"),
+    ("mincutlazy%cost:64^2", "TBNmc%cost:64^2"),
     ("mincut%lru:8", "TBNmc%lru:8"),
     ("mincutlazy^2", "TBNmc^2"),
     ("TLNmcAP%cost:8", "TLNmcAP%cost:8"),
@@ -247,7 +248,7 @@ CANONICAL_NAMES = [
     ("TBNmc?250ms:5000n", "TBNmc?250ms:5000n"),
     ("TBNmc?5000n:250ms", "TBNmc?250ms:5000n"),
     ("TBNmcAP?2.5ms", "TBNmcAP?2.5ms"),
-    ("TBNmc^2%cost:64:16", "TBNmc%cost:64:16^2"),
+    ("TBNmc^2%cost:64", "TBNmc%cost:64^2"),
     ("mincutlazy", "TBNmc"),
     ("mincut-lazy", "TBNmc"),
     ("MinCutOptimistic", "TBNmcopt"),
@@ -267,10 +268,7 @@ def _configs():
         st.none(),
         st.builds(MemoSpec, st.sampled_from(POLICY_NAMES)),
         st.builds(
-            MemoSpec,
-            st.sampled_from(POLICY_NAMES),
-            st.integers(0, 512),
-            st.integers(0, 512),
+            MemoSpec, st.sampled_from(POLICY_NAMES), st.integers(0, 512)
         ),
     )
     budgets = st.one_of(

@@ -38,6 +38,8 @@ from repro.serve.server import PlanServer
 from repro.workloads import clique, star
 from repro.workloads.weights import weighted_query
 
+from tests.helpers import RETIRED_MEMO_SUFFIXES
+
 DSL = "a(1000) b(500) c(20); a-b:0.01 b-c:0.5"
 GRAPH = {
     "relations": [["a", 1000.0], ["b", 500.0], ["c", 20.0]],
@@ -280,6 +282,18 @@ class TestPlanServerE2E:
         assert first["plan"] == direct
         assert second["plan"] == direct
 
+    def test_family_cache_summary_counts_every_lookup(self):
+        async def scenario(server):
+            for request_id in (1, 2):
+                await server.handle_payload({"id": request_id, "query": DSL})
+            return await server.handle_payload({"id": 3, "op": "stats"})
+
+        stats = _serve(scenario)
+        family = stats["caches"]["TBNmc"]
+        assert family["misses"] == 1
+        assert family["hits"] == 1
+        assert family["hits"] == stats["stats"]["cache_hits"]
+
     def test_concurrent_identical_requests_dedup(self):
         query = weighted_query(clique(6), 7)
         payload = {"graph": query_graph_payload(query)}
@@ -455,7 +469,7 @@ class TestPlanServerE2E:
         assert inflight == 0
         assert good["status"] == "ok"
 
-    @pytest.mark.parametrize("algorithm", ["TBNmc%smallest:8", "TBNmc%profile:8"])
+    @pytest.mark.parametrize("algorithm", list(RETIRED_MEMO_SUFFIXES))
     def test_retired_policy_is_an_error_and_leaks_no_slot(self, algorithm):
         async def scenario(server):
             bad = await server.handle_payload(
@@ -467,7 +481,7 @@ class TestPlanServerE2E:
 
         bad, inflight, good = _serve(scenario, max_inflight=1)
         assert bad["status"] == "error"
-        assert "('lru', 'cost')" in bad["error"]["message"]
+        assert RETIRED_MEMO_SUFFIXES[algorithm] in bad["error"]["message"]
         assert inflight == 0
         assert good["status"] == "ok"
 
