@@ -45,11 +45,3 @@ class CacheStats:
             "shared_hits": self.shared_hits,
             "recompute_cost_saved": self.recompute_cost_saved,
         }
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another table's stats (batch summaries)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.shared_hits += other.shared_hits
-        self.recompute_cost_saved += other.recompute_cost_saved

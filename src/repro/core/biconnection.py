@@ -141,7 +141,10 @@ class BiconnectionTree:
         Precondition (Definition 3.1): ``subset ⊆ vertices`` and both induce
         connected subgraphs.  ``size3_tweak`` applies the footnote-2
         refinement that avoids false negatives for components of size three
-        (triangles remain biconnected after deleting one child).
+        (triangles remain biconnected after deleting one child).  A
+        component's survivors are ``members & subset``, which equals
+        ``members`` minus the deleted vertices because ``members ⊆
+        vertices``.
         """
         if subset == 0:
             return True
@@ -158,7 +161,7 @@ class BiconnectionTree:
             if comp_idx is None:
                 return False
             members, top = components[comp_idx]
-            surviving_children = members & ~(1 << top) & ~deleted
+            surviving_children = members & subset & ~(1 << top)
             if surviving_children:
                 if (
                     size3_tweak

@@ -521,9 +521,11 @@ class GlobalPlanCache(MemoTable):
     shared cache is read and written by whoever holds a reference — the
     serve tier probes and populates it from concurrent optimizer worker
     threads.  Every public entry point therefore serializes on one
-    reentrant lock: lookups mutate policy recency order and stores can
-    trigger eviction chains, either of which corrupts the
-    underlying ``OrderedDict`` under unsynchronized concurrent access.
+    lock: lookups mutate policy recency order and stores can trigger
+    eviction chains, either of which corrupts the underlying
+    ``OrderedDict`` under unsynchronized concurrent access.  No locked
+    entry point calls another (``store_ranked``, which calls
+    ``store_plan``, takes no lock itself), so the lock is not reentrant.
     """
 
     def __init__(
@@ -533,7 +535,7 @@ class GlobalPlanCache(MemoTable):
         policy: str = "lru",
     ) -> None:
         super().__init__(capacity=capacity, metrics=metrics, policy=policy)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def key_for(self, query: Query, subset: int, order: int | None) -> Hashable:
         """Key by canonical logical expression: a flat tuple of relation

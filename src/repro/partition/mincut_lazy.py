@@ -30,8 +30,14 @@ for them, with Algorithm 4's counters and tracer events:
   leaf's invocation walks up towards ``t`` until it meets ``T``
   (:func:`acyclic_cuts`).
 
-Every other subset takes the literal algorithm.  ``MinCutLazy`` stays
-literal throughout because Figures 2–5 measure it.
+Every other subset keeps Algorithm 4's sequence and counters, but not
+its tree builds (:func:`cyclic_cuts`).  When Algorithm 5 refuses the
+caller's tree, the new tree is the caller's tree clipped to the smaller
+vertex set whenever every biconnected component that lost a vertex is
+still biconnected, which a degree test shows; only otherwise does a
+depth-first search run, and its tree is cached for the optimizer's
+later expressions.  ``MinCutLazy`` and ``MinCutEager`` stay literal
+throughout because Figures 2–5 measure them.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from collections.abc import Iterator
 
 from repro.analysis.metrics import Metrics
 from repro.core.biconnection import (
+    BccNode,
     BiconnectionTree,
     build_bcc_tree,
     is_complete,
@@ -56,7 +63,12 @@ __all__ = [
     "MinCutLazySearch",
     "acyclic_cuts",
     "complete_cuts",
+    "cyclic_cuts",
 ]
+
+#: A biconnection tree as :func:`cyclic_cuts` reads it: ``(vertices,
+#: components, parent_component, descendants, ancestors)``.
+_Tree = tuple[int, list[BccNode], list[int | None], list[int], list[int]]
 
 
 class MinCutLazy(PartitionStrategy):
@@ -193,14 +205,24 @@ class MinCutEager(MinCutLazy):
 
 class MinCutLazySearch(MinCutLazy):
     """The search's bushy ``mc`` strategy: Algorithm 4, closed form on
-    cliques and trees.
+    cliques and trees, derived trees on every other subset.
 
-    A complete ``G|subset`` is answered by :func:`complete_cuts` and an
-    acyclic one by :func:`acyclic_cuts`, each yielding the pairs,
-    counters and tracer events ``MinCutLazy`` would; every other subset
-    (and the size-3 tweak, whose reuse test can pass on a complete
-    triangle) takes the literal algorithm.
+    A complete ``G|subset`` is answered by :func:`complete_cuts`, an
+    acyclic one by :func:`acyclic_cuts` and any other by
+    :func:`cyclic_cuts`, each yielding the pairs, counters and tracer
+    events ``MinCutLazy`` would.  Only the size-3 tweak, whose reuse test
+    can pass on a complete triangle, takes the literal algorithm.
+
+    The trees :func:`cyclic_cuts` derives or builds are kept in
+    :attr:`_trees`, keyed by anchor and then by ``rest``: one optimizer
+    owns one strategy, so the cache lives exactly as long as the
+    optimizer, and it is dropped when the strategy meets another graph.
     """
+
+    def __init__(self, size3_tweak: bool = False, anchor: int | None = None) -> None:
+        super().__init__(size3_tweak, anchor)
+        self._trees_graph: JoinGraph | None = None
+        self._trees: dict[int, dict[int, _Tree]] = {}
 
     def partitions(
         self, graph: JoinGraph, subset: int, metrics: Metrics
@@ -221,6 +243,16 @@ class MinCutLazySearch(MinCutLazy):
                     neighbors, subset, anchor, subset & ~articulation, metrics,
                     self.tracer, self.profiler,
                 )
+            if graph is not self._trees_graph:
+                self._trees_graph = graph
+                self._trees = {}
+            trees = self._trees.get(anchor)
+            if trees is None:
+                trees = self._trees[anchor] = {}
+            return cyclic_cuts(
+                graph, subset, anchor, trees, metrics, self.tracer,
+                self.profiler,
+            )
         return super().partitions(graph, subset, metrics)
 
 
@@ -360,3 +392,166 @@ def acyclic_cuts(
             metrics.usability_hits += 1
             if tracing:
                 tracer.event("bcc_tree_reused", rest=rest)
+
+
+def cyclic_cuts(
+    graph: JoinGraph,
+    subset: int,
+    anchor: int,
+    trees: dict[int, _Tree],
+    metrics: Metrics,
+    tracer: Tracer,
+    profiler: KernelProfiler,
+) -> Iterator[tuple[int, int]]:
+    """Both orientations of every minimal cut of a connected ``G|subset``,
+    with few depth-first searches.
+
+    This is Algorithm 4 in its exact order, with Algorithm 5's usability
+    test inlined, so the pairs, counters, tracer events and profiler
+    frames are ``MinCutLazy``'s.  What changes is where the trees come
+    from.  An invocation's tree for ``rest`` is usually its caller's tree
+    clipped to ``rest``: deleting vertices from a biconnected component
+    ``B`` leaves ``B' = B ∩ rest``, and if every such ``B'`` is still
+    biconnected, the components of ``G|rest`` are these ``B'`` and the
+    untouched components, under the same tops, so ``D(v) ∩ rest`` and
+    ``A(v) ∩ rest`` are the new tree's sets.  ``B'`` is biconnected when
+    it has at most two vertices (a path between two vertices of a
+    component never leaves it, and ``G|rest`` is connected), or when each
+    of its vertices is adjacent to at least half of ``B'`` (Dirac's
+    condition, which makes ``G|B'`` Hamiltonian; a complete ``B'`` meets
+    it).  Such a derived tree shares its caller's lists with ``vertices =
+    rest``, so the next test deletes only what its own invocation deletes
+    and reads survivors as ``members & rest``, as
+    :meth:`~repro.core.biconnection.BiconnectionTree.is_usable_for` does.
+
+    ``trees`` maps ``rest`` to its tree rooted at ``anchor``, and every
+    tree goes into it.  An invocation's tree is derived before its cut is
+    yielded: the search solves the side ``rest`` during that yield, and
+    the root invocation for ``rest``, which has the same anchor, finds
+    the tree there.  Only when some ``B'`` fails the condition and no
+    tree is cached does a depth-first search run.  Counters, events and
+    profiler frames still move after the yields, where Algorithm 4 moves
+    them: a tree that Algorithm 5 refuses to reuse counts as built
+    (``bcc_trees_built``, a ``bcc_tree_built`` event and a
+    ``partition.bcc_build`` frame, which holds the search if one runs).
+    Only this function reads ``trees``; no other code sees a derived
+    tree.
+    """
+    neighbors = graph.neighbors
+    neighbors_of_set = graph.neighbors_of_set
+    anchor_bit = 1 << anchor
+    tracing = tracer.enabled
+    profiling = profiler.enabled
+    # Frames: (s, rest, tree, pivots, next pivot index, T').
+    stack: list[tuple[int, int, _Tree, list[int], int, int]] = []
+    s = 0
+    t = anchor_bit
+    tree_old: _Tree | None = None
+    reusable = False
+    while True:
+        rest = subset & ~s
+        if s:
+            # N(S), with the paper's convention N(∅) = V \ {t}.
+            neighbourhood = neighbors_of_set(s) & subset
+        else:
+            neighbourhood = subset & ~anchor_bit
+        candidates = neighbourhood & ~(s | t)
+        tree = trees.get(rest)
+        if tree_old is not None and (candidates or tree is None):
+            # Algorithm 5 on the caller's tree, whose verdict counts only
+            # with candidates: reusable unless a component that lost a
+            # vertex keeps a child in rest.  Without a cached tree, also
+            # check that every such component is still biconnected.
+            vertices, components, parent_component, descendants, ancestors = (
+                tree_old
+            )
+            reusable = derivable = True
+            seen = 0
+            deleted = vertices & ~rest
+            while deleted:
+                low = deleted & -deleted
+                deleted ^= low
+                block = parent_component[low.bit_length() - 1]
+                assert block is not None  # only the anchor has none
+                if seen >> block & 1:
+                    continue
+                seen |= 1 << block
+                members, top = components[block]
+                survivors = members & rest
+                if survivors & ~(1 << top):
+                    reusable = False
+                    if tree is not None:
+                        break
+                    size = survivors.bit_count()
+                    remaining = survivors if size > 2 else 0
+                    while remaining:
+                        low = remaining & -remaining
+                        remaining ^= low
+                        degree = neighbors[low.bit_length() - 1] & survivors
+                        if 2 * degree.bit_count() < size:
+                            derivable = False
+                            break
+                    if not derivable:
+                        break
+            if tree is None and derivable:
+                tree = trees[rest] = (
+                    rest, components, parent_component, descendants, ancestors,
+                )
+        if s:
+            metrics.partitions_emitted += 2
+            yield (s, rest)
+            yield (rest, s)
+        if candidates:
+            if tree_old is not None:
+                metrics.usability_tests += 1
+            if reusable:
+                assert tree is not None  # derived above
+                metrics.usability_hits += 1
+                if tracing:
+                    tracer.event("bcc_tree_reused", rest=rest)
+            else:
+                if profiling:
+                    profiler.enter(KERNEL_BCC_BUILD)
+                if tree is None:
+                    # Solving rest during the yields may have built it.
+                    tree = trees.get(rest)
+                    if tree is None:
+                        built = build_bcc_tree(graph, rest, anchor)
+                        tree = trees[rest] = (
+                            rest, built.components, built.parent_component,
+                            built.descendants, built.ancestors,
+                        )
+                if profiling:
+                    profiler.exit()
+                metrics.bcc_trees_built += 1
+                if tracing:
+                    tracer.event(
+                        "bcc_tree_built", rest=rest,
+                        reuse_denied=tree_old is not None,
+                    )
+            # Pivot set P, as in MinCutLazy.partitions.
+            descendants = tree[3]
+            pivots: list[int] = []
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                v = low.bit_length() - 1
+                if descendants[v] & neighbourhood == low:
+                    pivots.append(v)
+            if pivots:
+                stack.append((s, rest, tree, pivots, 0, t))
+        while stack:
+            frame_s, frame_rest, tree, pivots, index, t_prime = stack[-1]
+            if index < len(pivots):
+                v = pivots[index]
+                stack[-1] = (
+                    frame_s, frame_rest, tree, pivots, index + 1,
+                    t_prime | tree[4][v] & frame_rest,
+                )
+                s = frame_s | tree[3][v] & frame_rest
+                t = t_prime
+                tree_old = tree
+                break
+            stack.pop()
+        else:
+            return

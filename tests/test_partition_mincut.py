@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import Metrics
 from repro.conformance.oracles import connected_subsets
 from repro.core.bitset import bit, mask_of, popcount
+from repro.core.joingraph import JoinGraph
 from repro.obs.profile import KernelProfiler
 from repro.obs.tracer import Tracer
 from repro.partition import (
@@ -35,7 +36,7 @@ from repro.workloads import (
     wheel,
 )
 
-from tests.helpers import make_query, small_graphs
+from tests.helpers import make_query, random_query, small_graphs
 
 ALL_STRATEGIES = [
     MinCutLazy(),
@@ -228,6 +229,42 @@ def assert_search_matches_literal(graph, subset):
                     ), (search.__name__, subset, anchor, stop)
 
 
+def searched(strategy, graph, anchor=None):
+    """Pairs, counters, events and profiler frames of a whole top-down
+    search with one strategy instance: each side is solved as soon as it
+    is yielded, as the memo-driven enumerator does, so whatever the
+    instance keeps between expressions is exercised in the search's
+    order."""
+    strategy = strategy(anchor=anchor)
+    strategy.tracer = EventLog()
+    strategy.profiler = FrameLog(strategy.tracer.events)
+    metrics = Metrics()
+    pairs = []
+    solved = set()
+
+    def solve(subset):
+        if subset & (subset - 1) and subset not in solved:
+            solved.add(subset)
+            for left, right in strategy.partitions(graph, subset, metrics):
+                pairs.append((left, right))
+                solve(left)
+                solve(right)
+
+    solve(graph.all_vertices)
+    return pairs, metrics, strategy.tracer.events
+
+
+def assert_subsets_and_search_match_literal(graph):
+    """Every connected subset alone, then the whole search with one
+    instance per anchor choice."""
+    for subset in connected_subsets(graph, min_size=2):
+        assert_search_matches_literal(graph, subset)
+    for anchor in (None, 0, graph.n - 1):
+        assert searched(MinCutLazySearch, graph, anchor) == (
+            searched(MinCutLazy, graph, anchor)
+        ), anchor
+
+
 @pytest.fixture
 def tree_builds(monkeypatch):
     """Every ``build_bcc_tree`` call Algorithm 4's module makes."""
@@ -250,10 +287,40 @@ ACYCLIC_AND_CYCLE_GRAPHS = {
 }
 
 
+#: Cyclic graphs beyond the cycles above, whose every subset is a cycle
+#: or a path.
+CYCLIC_GRAPHS = {
+    **{f"wheel{n}": wheel(n) for n in range(5, 10)},
+    "grid2x4": grid(2, 4),
+    "grid3x3": grid(3, 3),
+}
+
+#: ``random_connected_graph(n, C, seed)`` for C in {.2, .4, .6}, n <= 9
+#: and seeds 1-3, where it draws a cycle.  Each seed grows one graph
+#: vertex by vertex, so a seed that has drawn only tree edges by n stays
+#: a tree below n: at C = .2 only seed 1 from n = 7, at C = .4 seeds 1
+#: and 3 from n = 4 (seed 2 never), at C = .6 seeds 1 and 3 from n = 4
+#: and seed 2 from n = 6.
+CYCLIC_RANDOM_CELLS = [
+    *[(0.2, n, 1) for n in range(7, 10)],
+    *[(0.4, n, seed) for n in range(4, 10) for seed in (1, 3)],
+    *[(0.6, n, seed) for n in (4, 5) for seed in (1, 3)],
+    *[(0.6, n, seed) for n in range(6, 10) for seed in (1, 2, 3)],
+]
+
+#: Two 4-cliques sharing vertex 3: two blocks, each complete.
+TWO_K4 = JoinGraph(
+    7,
+    [(u, v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
+     for u, v in itertools.combinations(block, 2)],
+)
+
+
 class TestSearchStrategies:
     """The search's strategies answer complete (and ``mc`` acyclic)
-    expressions in closed form with the pairs, counters, events and
-    profiler frames of their literal parents."""
+    expressions in closed form, and ``mc`` any other expression from
+    derived trees, with the pairs, counters, events and profiler frames
+    of their literal parents."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_clique_subsets_match_literal(self, n):
@@ -274,8 +341,7 @@ class TestSearchStrategies:
         ids=list(ACYCLIC_AND_CYCLE_GRAPHS),
     )
     def test_acyclic_and_cycle_subsets_match_literal(self, graph):
-        for subset in connected_subsets(graph, min_size=2):
-            assert_search_matches_literal(graph, subset)
+        assert_subsets_and_search_match_literal(graph)
 
     @pytest.mark.parametrize("cyclicity", [0.0, 0.4])
     @pytest.mark.parametrize("n", range(6, 10))
@@ -284,6 +350,18 @@ class TestSearchStrategies:
         graph = random_connected_graph(n, cyclicity, seed)
         for subset in connected_subsets(graph, min_size=2):
             assert_search_matches_literal(graph, subset)
+
+    @pytest.mark.parametrize(
+        "graph", list(CYCLIC_GRAPHS.values()), ids=list(CYCLIC_GRAPHS)
+    )
+    def test_cyclic_subsets_match_literal(self, graph):
+        assert_subsets_and_search_match_literal(graph)
+
+    @pytest.mark.parametrize(("cyclicity", "n", "seed"), CYCLIC_RANDOM_CELLS)
+    def test_cyclic_random_subsets_match_literal(self, cyclicity, n, seed):
+        graph = random_connected_graph(n, cyclicity, seed)
+        assert graph.edge_count() > n - 1
+        assert_subsets_and_search_match_literal(graph)
 
     def test_size3_tweak_stays_literal(self):
         graph = clique(5)
@@ -311,6 +389,30 @@ class TestSearchStrategies:
         assert tree_builds == []
         run(MinCutLazySearch(), cycle(8))
         assert tree_builds
+
+    def test_block_graph_searches_once_per_expression(self, tree_builds):
+        """Both blocks stay complete whatever a cut deletes, so every tree
+        below an expression's root is derived."""
+        for subset in connected_subsets(TWO_K4, min_size=2):
+            before = len(tree_builds)
+            run(MinCutLazySearch(), TWO_K4, subset)
+            assert len(tree_builds) - before <= 1, subset
+
+    def test_wheel_searches_less_than_it_builds(self, tree_builds):
+        _, literal = run(MinCutLazy(), wheel(8))
+        tree_builds.clear()
+        _, metrics = run(MinCutLazySearch(), wheel(8))
+        assert metrics.bcc_trees_built == literal.bcc_trees_built
+        assert len(tree_builds) < metrics.bcc_trees_built
+
+    def test_tree_cache_dies_with_its_optimizer(self, tree_builds):
+        query = random_query(9, 0.6, 3)
+        counts = []
+        for _ in range(2):
+            before = len(tree_builds)
+            make_optimizer("TBNmc", query).optimize()
+            counts.append(len(tree_builds) - before)
+        assert counts[0] == counts[1] > 0
 
     def test_registry_searches_with_them(self):
         query = make_query("clique", 5)
