@@ -9,9 +9,16 @@ cells age out first while expensive cells survive unless untouched for a
 long time.
 
 A policy never owns the cells: the :class:`~repro.memo.MemoTable` keeps
-its ``OrderedDict`` and per-key weights, and the policy is consulted on
-store/access/evict.  All victim selection is deterministic (ties break
-toward the oldest cell), so bounded-memo runs reproduce exactly.
+its ``OrderedDict`` and per-key weights, and a policy answers two
+questions about them.  :meth:`~EvictionPolicy.refresher` returns the one
+call that renews a cell's standing when a plan is served from it or the
+cell is replaced — ``cells.move_to_end`` itself for ``lru``, so the
+enumerator's inline child read refreshes through the same call as
+:meth:`~repro.memo.MemoTable.get`.  :meth:`~EvictionPolicy.pop_victim`
+removes the cell to evict and returns it with its key —
+``cells.popitem(last=False)`` for ``lru``, a score scan for ``cost``.
+All victim selection is deterministic (ties break toward the oldest
+cell), so bounded-memo runs reproduce exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ class EvictionPolicy:
 
     ``uses_weights`` tells the table whether to maintain per-cell
     recompute weights — recency-only policies skip that bookkeeping
-    entirely.
+    entirely.  A weight-driven policy also scores every new cell through
+    its refresher; a recency policy needs nothing there, because a new
+    key is already last in ``cells``.
     """
 
     name: str = "?"
@@ -48,17 +57,18 @@ class EvictionPolicy:
         """Attach the table's per-key weight accessor."""
         self._weight_of = weight_of
 
-    def on_store(self, cells: OrderedDict[Hashable, Any], key: Hashable) -> None:
-        """A cell was inserted (already present in ``cells``)."""
+    def refresher(
+        self, cells: OrderedDict[Hashable, Any]
+    ) -> Callable[[Hashable], None]:
+        """The call that renews a cell's standing in ``cells``: a plan was
+        served from it, or it was replaced."""
+        raise NotImplementedError
 
-    def touch(self, cells: OrderedDict[Hashable, Any], key: Hashable) -> None:
-        """A *plan* cell was served from the hot tier."""
-
-    def on_remove(self, key: Hashable) -> None:
-        """A cell left the hot tier (eviction or clear)."""
-
-    def choose_victim(self, cells: OrderedDict[Hashable, Any]) -> Hashable:
-        """Pick the cell to evict; ``cells`` is non-empty."""
+    def pop_victim(
+        self, cells: OrderedDict[Hashable, Any]
+    ) -> tuple[Hashable, Any]:
+        """Remove the cell to evict from ``cells`` (non-empty) and return
+        it as ``(key, entry)``."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -66,18 +76,23 @@ class EvictionPolicy:
 
 
 class LRUPolicy(EvictionPolicy):
-    """The paper's baseline: evict the least-recently-used cell."""
+    """The paper's baseline: evict the least-recently-used cell.
+
+    The order of ``cells`` is the recency order, so the policy keeps no
+    state of its own.
+    """
 
     name = "lru"
 
-    def on_store(self, cells: OrderedDict[Hashable, Any], key: Hashable) -> None:
-        cells.move_to_end(key)
+    def refresher(
+        self, cells: OrderedDict[Hashable, Any]
+    ) -> Callable[[Hashable], None]:
+        return cells.move_to_end
 
-    def touch(self, cells: OrderedDict[Hashable, Any], key: Hashable) -> None:
-        cells.move_to_end(key)
-
-    def choose_victim(self, cells: OrderedDict[Hashable, Any]) -> Hashable:
-        return next(iter(cells))
+    def pop_victim(
+        self, cells: OrderedDict[Hashable, Any]
+    ) -> tuple[Hashable, Any]:
+        return cells.popitem(last=False)
 
 
 class CostPolicy(EvictionPolicy):
@@ -100,16 +115,18 @@ class CostPolicy(EvictionPolicy):
         self._scores: dict[Hashable, float] = {}
         self._inflation = 0.0
 
-    def on_store(self, cells: OrderedDict[Hashable, Any], key: Hashable) -> None:
+    def touch(self, key: Hashable) -> None:
+        """Score ``key`` at the current inflation plus its weight."""
         self._scores[key] = self._inflation + self._weight_of(key)
 
-    def touch(self, cells: OrderedDict[Hashable, Any], key: Hashable) -> None:
-        self._scores[key] = self._inflation + self._weight_of(key)
+    def refresher(
+        self, cells: OrderedDict[Hashable, Any]
+    ) -> Callable[[Hashable], None]:
+        return self.touch
 
-    def on_remove(self, key: Hashable) -> None:
-        self._scores.pop(key, None)
-
-    def choose_victim(self, cells: OrderedDict[Hashable, Any]) -> Hashable:
+    def pop_victim(
+        self, cells: OrderedDict[Hashable, Any]
+    ) -> tuple[Hashable, Any]:
         scores = self._scores
         victim: Hashable = None
         lowest = math.inf
@@ -119,7 +136,8 @@ class CostPolicy(EvictionPolicy):
                 victim = key
                 lowest = score
         self._inflation = lowest
-        return victim
+        scores.pop(victim, None)
+        return victim, cells.pop(victim)
 
     def reset(self) -> None:
         self._scores.clear()

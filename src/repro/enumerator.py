@@ -230,10 +230,12 @@ class TopDownEnumerator:
         self._memo_store_plan = self._memo_hot.store_plan
         self._memo_store_lower_bound = self._memo_hot.store_lower_bound
         # The candidate scan reads a child's plan straight from these hot
-        # cells when that is all `_get_best` would do (see
+        # cells when that is all `_get_best` would do, refreshing a capped
+        # table's eviction order as `get` would (see
         # `MemoTable.direct_cells`); a profiled run keeps every child on
         # `_get_best`, whose memo calls the profiler bills.
-        self._cells = None if self._profiling else self.memo.direct_cells()
+        direct = None if self._profiling else self.memo.direct_cells()
+        self._cells, self._refresh = (None, None) if direct is None else direct
         self.registry = registry
         self._h_partitions: Histogram | None = None
         self._h_join_gap: Histogram | None = None
@@ -537,12 +539,13 @@ class TopDownEnumerator:
         is Algorithm 1's lookup.
 
         The candidate scan of :meth:`_calc_best_join` answers a child
-        lookup itself when a hot cell of an exact, unbounded, unprofiled
-        :class:`~repro.memo.MemoTable` settles it — a plan within budget,
-        or a plan or lower bound proving none fits — and counts it as the
-        hit or bound-hit branch here does.  A miss, a lower bound below
-        the budget (a re-expansion), and every lookup on any other memo
-        enter here.
+        lookup itself when a hot cell of an exact, unprofiled
+        :class:`~repro.memo.MemoTable`, capped or not, settles it — a plan
+        within budget, or a plan or lower bound proving none fits — and
+        counts it, and refreshes a capped table's eviction order, as the
+        hit or bound-hit branch here does through ``get``.  A miss, a
+        lower bound below the budget (a re-expansion), and every lookup on
+        a subclass or in a profiled run enter here.
 
         A join expression that could fail (finite budget, empty order) is
         expanded with a fresh frontier to record into, or replays the one
@@ -651,15 +654,19 @@ class TopDownEnumerator:
         ``frontier`` (empty) records them, in strategy order.
 
         A child whose cell in the memo's direct cells (see
-        :meth:`~repro.memo.MemoTable.direct_cells`) settles its lookup is
-        read inline and counted as :meth:`_get_best` would count it.  A
-        plan within the child's budget is a hit; a plan dearer than the
-        budget, or a plan-less lower bound at or above it, is a bound hit
-        and drops the candidate.  The tracer's ``memo_hit`` or
-        ``memo_bound_hit`` fires at once; ``memo_lookups``, ``memo_hits``,
-        ``memo_bound_hits`` and ``memo.stats.hits`` take the scan's inline
-        reads in one addition when the scan ends.  A miss and a lower
-        bound below the budget fall through to :meth:`_get_best`.
+        :meth:`~repro.memo.MemoTable.direct_cells`; an exact table, capped
+        or not) settles its lookup is read inline and counted as
+        :meth:`_get_best` would count it.  A plan within the child's
+        budget is a hit; a plan dearer than the budget, or a plan-less
+        lower bound at or above it, is a bound hit and drops the
+        candidate.  Every inline read of a plan cell, hit or bound hit,
+        passes its key to a capped table's refresh call at once, exactly
+        where ``get`` would refresh it; a lower-bound-only cell is never
+        refreshed.  The tracer's ``memo_hit`` or ``memo_bound_hit`` fires
+        at once; ``memo_lookups``, ``memo_hits``, ``memo_bound_hits`` and
+        ``memo.stats.hits`` take the scan's inline reads in one addition
+        when the scan ends.  A miss and a lower bound below the budget
+        fall through to :meth:`_get_best`.
         """
         query = self.query
         cost_model = self._cost_hot
@@ -701,6 +708,7 @@ class TopDownEnumerator:
         cells = self._cells
         if cells is not None:
             cells_get = cells.get
+            refresh = self._refresh
             memo_stats = self.memo.stats
 
         recording = frontier is not None and not replay
@@ -787,15 +795,18 @@ class TopDownEnumerator:
                         continue
                 # A child whose hot cell answers the lookup — a plan within
                 # its budget, or a plan or lower bound proving none fits —
-                # is read inline and counted as `_get_best`'s hit and bound
-                # hit branches count it; a miss and a lower bound below the
-                # budget (a re-expansion) go through `_get_best`.
+                # is read inline and counted, and a plan cell refreshed, as
+                # `_get_best`'s hit and bound hit branches do through `get`;
+                # a miss and a lower bound below the budget (a
+                # re-expansion) go through `_get_best`.
                 left_plan = None
                 if cells is not None:
                     entry = cells_get((left, None))
                     if entry is not None:
                         left_plan = entry.plan
                         if left_plan is not None:
+                            if refresh is not None:
+                                refresh((left, None))
                             if left_plan.cost <= remaining:
                                 inline_hits += 1
                                 if tracing:
@@ -824,6 +835,8 @@ class TopDownEnumerator:
                     if entry is not None:
                         right_plan = entry.plan
                         if right_plan is not None:
+                            if refresh is not None:
+                                refresh((right, None))
                             if right_plan.cost <= remaining:
                                 inline_hits += 1
                                 if tracing:

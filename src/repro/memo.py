@@ -35,7 +35,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Optional
 
 from repro.analysis.metrics import Metrics
 from repro.cache.costing import logical_cost_proxy
@@ -158,6 +158,8 @@ class MemoTable:
         self._track_weights = (
             capacity is not None and capacity > 0 and self._policy.uses_weights
         )
+        # The policy's one refresh call (called only under a capacity).
+        self._refresh = self._policy.refresher(self._cells)
         self._profiler: KernelProfiler = NULL_PROFILER
         self._h_occupancy: Histogram | None = None
         self._c_evictions: Counter | None = None
@@ -206,10 +208,8 @@ class MemoTable:
 
     def _evict_one(self) -> None:
         """Drop one cell according to the eviction policy."""
-        victim = self._policy.choose_victim(self._cells)
-        entry = self._cells.pop(victim)
+        victim, entry = self._policy.pop_victim(self._cells)
         self._footprint -= entry.footprint
-        self._policy.on_remove(victim)
         if self._track_weights:
             del self._weights[victim]
         self.stats.evictions += 1
@@ -245,7 +245,7 @@ class MemoTable:
         if entry is not None:
             self.stats.hits += 1
             if self.capacity is not None and entry.has_plan:
-                self._policy.touch(self._cells, key)
+                self._refresh(key)
             return entry
         if self.shared is not None and self.shared is not self:
             shared_entry = self.shared.get(query, subset, order)
@@ -265,26 +265,29 @@ class MemoTable:
         self.stats.misses += 1
         return None
 
-    def direct_cells(self) -> "dict[Hashable, MemoEntry] | None":
-        """The local cells, for callers that read a hit without :meth:`get`.
+    def direct_cells(
+        self,
+    ) -> "tuple[dict[Hashable, MemoEntry], Callable[[Hashable], None] | None] | None":
+        """The local cells and their refresh call, for callers that read a
+        hit without :meth:`get`.
 
         Returned only when a local hit through :meth:`get` is a plain dict
-        read plus ``stats.hits += 1``: the table is exactly
-        ``MemoTable`` (subclasses may rekey, relabel or instrument
-        lookups) and has no capacity (no recency refresh on a hit).  A
-        reader may answer a plan hit, or a bound hit (a plan dearer than
-        its budget, a lower bound at or above it), from the cells, and
-        must count it in ``stats.hits``; only a miss and a lower bound
-        below the budget must go through :meth:`get`, which also consults
-        the shared cache.  ``None`` otherwise.
+        read, ``stats.hits += 1`` and, under a capacity, one refresh call:
+        the table is exactly ``MemoTable`` (subclasses may rekey, relabel
+        or instrument lookups).  The refresh call is ``cells.move_to_end``
+        for ``lru``, the policy's ``touch`` for ``cost``, and ``None`` when
+        the table is unbounded.  A reader may answer a plan hit, or a bound
+        hit (a plan dearer than its budget, a lower bound at or above it),
+        from the cells, and must count it in ``stats.hits``; it must pass
+        the key of every *plan* cell it reads to the refresh call, as
+        :meth:`get` does, and never the key of a lower-bound-only cell.
+        Only a miss and a lower bound below the budget must go through
+        :meth:`get`, which also consults the shared cache.  ``None`` for
+        a subclass.
         """
-        if type(self) is MemoTable and self.capacity is None:
-            return self._cells
-        return None
-
-    def peek(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
-        """Local-only lookup: no shared read-through, no recency, no stats."""
-        return self._cells.get(self.key_for(query, subset, order))
+        if type(self) is not MemoTable:
+            return None
+        return self._cells, None if self.capacity is None else self._refresh
 
     def store_plan(
         self,
@@ -392,15 +395,14 @@ class MemoTable:
         if capacity == 0:
             return
         cells = self._cells
-        bounded = capacity is not None
         if self._track_weights:
             self._weights[key] = 1.0 if weight is None else weight
         footprint = entry.footprint
         if key in cells:
             self._footprint += footprint - cells[key].footprint
             cells[key] = entry
-            if bounded:
-                self._policy.on_store(cells, key)
+            if capacity is not None:
+                self._refresh(key)
                 # A replacement may grow the cell (plain -> ranked) past
                 # capacity; shed cells until it fits or one remains (an
                 # oversized lone cell is tolerated, like any oversized
@@ -413,12 +415,14 @@ class MemoTable:
                     self._evict_one()
             cells[key] = entry
             self._footprint += footprint
-            if bounded:
-                self._policy.on_store(cells, key)
-        if self.metrics is not None:
-            self.metrics.peak_memo_cells = max(
-                self.metrics.peak_memo_cells, len(cells)
-            )
+            if self._track_weights:
+                # A weight-driven policy scores the new cell; recency
+                # needs nothing, since a new key is already last.
+                self._refresh(key)
+            # Only a new key can raise the occupancy.
+            metrics = self.metrics
+            if metrics is not None and len(cells) > metrics.peak_memo_cells:
+                metrics.peak_memo_cells = len(cells)
         if self._h_occupancy is not None:
             self._h_occupancy.observe(len(cells))
 
@@ -551,10 +555,6 @@ class GlobalPlanCache(MemoTable):
     def get(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
         with self._lock:
             return super().get(query, subset, order)
-
-    def peek(self, query: Query, subset: int, order: int | None) -> Optional[MemoEntry]:
-        with self._lock:
-            return super().peek(query, subset, order)
 
     def store_lower_bound(
         self,

@@ -209,12 +209,12 @@ def _counting_partitions(enum):
 
 def _frontier_cells(enum):
     """``(subset, frontier)`` for every hot memo cell holding a frontier."""
-    cells = []
-    for subset, order in enum.memo.keys():
-        entry = enum.memo.peek(enum.query, subset, order)
-        if entry is not None and entry.frontier is not None:
-            cells.append((subset, entry.frontier))
-    return cells
+    cells, _ = enum.memo.direct_cells()
+    return [
+        (subset, entry.frontier)
+        for (subset, _order), entry in cells.items()
+        if entry.frontier is not None
+    ]
 
 
 class TestFrontierReplay:

@@ -55,8 +55,7 @@ class TestPolicies:
         memo.store_plan(query, 2, None, scan(query, 1))
         memo.get(query, 1, None)  # refresh 1; 2 becomes the LRU cell
         memo.store_plan(query, 4, None, scan(query, 2))
-        assert memo.peek(query, 1, None) is not None
-        assert memo.peek(query, 2, None) is None
+        assert memo.keys() == [(1, None), (4, None)]
         assert memo.stats.evictions == 1
 
     def test_cost_policy_keeps_expensive_cells(self, query):
@@ -67,7 +66,7 @@ class TestPolicies:
         memo.store_plan(query, 0b1, None, scan(query, 0))
         memo.store_plan(query, 0b10, None, scan(query, 1))
         memo.store_plan(query, 0b100, None, scan(query, 2))
-        assert memo.peek(query, 0b111111, None) is not None
+        assert (0b111111, None) in memo.keys()
         assert memo.stats.evictions == 2
 
     def test_cost_policy_inflation_ages_out_stale_cells(self, query):
@@ -83,7 +82,7 @@ class TestPolicies:
         for _ in range(50):
             for v in range(6):
                 memo.store_plan(query, 1 << v, None, scan(query, v))
-        assert memo.peek(query, 0b1111, None) is None
+        assert (0b1111, None) not in memo.keys()
 
     def test_tie_break_is_deterministic(self, query):
         def run():
@@ -125,8 +124,7 @@ class TestBoundRefresh:
         memo.store_plan(query, 4, None, scan(query, 2))   # evict one
         # B was stored after A but never refreshed; A's refresh happened
         # later, so B is the LRU victim.
-        assert memo.peek(query, 1, None) is not None
-        assert memo.peek(query, 2, None) is None
+        assert memo.keys() == [(1, None), (4, None)]
 
     def test_bound_hit_still_counts_as_hit(self, query):
         memo = MemoTable(capacity=4)

@@ -111,6 +111,30 @@ class TestExhaustiveShapes:
             assert row["TLNnaive_rel"] < 4
             assert row["BLNsize_rel"] < 4
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [4, 6, 10, 14])
+    def test_fig6_left_deep_chain_work(self, n, seed):
+        """Deterministic companion of the wall-time ratios above: on a
+        chain, the three left-deep algorithms find the same cost with
+        3n(n-1) join operators each; TLNmc tests no connectivity,
+        TLNnaive tests n(n+1)(n+2)/6 - n splits and BLNsize
+        (n-1)n(n+1)/3 (closed forms, independent of the weights)."""
+        query = weighted_query(chain(n), seed)
+        costs = {}
+        tests = {}
+        for name in ("TLNmc", "TLNnaive", "BLNsize"):
+            optimizer = make_optimizer(name, query)
+            costs[name] = optimizer.optimize().cost
+            assert optimizer.metrics.join_operators_costed == 3 * n * (n - 1)
+            tests[name] = optimizer.metrics.connectivity_tests
+        assert costs["TLNnaive"] == pytest.approx(costs["TLNmc"], rel=1e-12)
+        assert costs["BLNsize"] == pytest.approx(costs["TLNmc"], rel=1e-12)
+        assert tests == {
+            "TLNmc": 0,
+            "TLNnaive": n * (n + 1) * (n + 2) // 6 - n,
+            "BLNsize": (n - 1) * n * (n + 1) // 3,
+        }
+
     def test_fig9_optimal_algorithms_cluster(self):
         result = EXPERIMENTS["fig9"]("small")
         last = result.rows[-1]

@@ -2,13 +2,15 @@
 
 ``TopDownEnumerator._calc_best_join`` reads a child's plan, or the stored
 plan or lower bound that rules the child out, straight from the hot cells
-of an exact, unbounded :class:`~repro.memo.MemoTable`
-(:meth:`~repro.memo.MemoTable.direct_cells`).  A subclass of
+of an exact :class:`~repro.memo.MemoTable`, capped or not
+(:meth:`~repro.memo.MemoTable.direct_cells`), and refreshes a capped
+table's eviction order where ``get`` would.  A subclass of
 ``MemoTable`` — here one that changes nothing — keeps every child
 lookup on ``_get_best``, so running each configuration on both memos
 compares the inline read against the path it replaces: the plan, every
-``Metrics`` counter, the memo's ``CacheStats`` and the tracer's per-subset
-hit and bound-hit attribution must be identical.
+``Metrics`` counter, the memo's ``CacheStats``, the tracer's per-subset
+hit and bound-hit attribution and, for a capped memo, the final order
+of its cells must be identical.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Any
 
 import pytest
 
+from repro.analysis.counting import count_connected_subgraphs
 from repro.catalog.query import Query
 from repro.enumerator import TopDownEnumerator
 from repro.memo import GlobalPlanCache, MemoTable
 from repro.obs.tracer import RecordingTracer
 from repro.registry import OptimizerConfig, conformance_matrix, make_optimizer
-from repro.workloads import clique, star, weighted_query
+from repro.workloads import chain, clique, cycle, star, weighted_query
 from tests.test_golden_plans import _queries
 
 
@@ -32,8 +35,8 @@ class _GetBestMemo(MemoTable):
 
 
 #: Unbounded-memo top-down configurations of the conformance matrix
-#: (bounded ``%policy`` memos never take the inline read), plus an
-#: Algorithm 7 run that its node budget interrupts mid-scan.
+#: (capped memos are the subject of `test_capped_inline_read_matches_get_best`),
+#: plus an Algorithm 7 run that its node budget interrupts mid-scan.
 NAMES = tuple(
     dict.fromkeys(
         name
@@ -62,15 +65,26 @@ def _observe(
     if tracer is not None:
         observed["memo_hit_subsets"] = tracer.memo_hit_subsets
         observed["bound_hit_subsets"] = tracer.bound_hit_subsets
+    if memo.capacity is not None:
+        observed["keys"] = memo.keys()
     return observed
 
 
-def test_direct_cells_only_for_exact_unbounded_memo():
-    assert MemoTable().direct_cells() is not None
-    assert MemoTable(shared=GlobalPlanCache()).direct_cells() is not None
-    assert MemoTable(capacity=8).direct_cells() is None
+def test_direct_cells_for_every_exact_memo():
+    """Every exact table answers, with a refresh call only under a
+    capacity; a subclass never does."""
+    for memo in (MemoTable(), MemoTable(shared=GlobalPlanCache())):
+        direct = memo.direct_cells()
+        assert direct is not None and direct[1] is None
+    lru = MemoTable(capacity=8)
+    assert lru.direct_cells() == (lru._cells, lru._cells.move_to_end)
+    cost = MemoTable(capacity=8, policy="cost")
+    assert cost.direct_cells() == (cost._cells, cost._policy.touch)
+    assert MemoTable(capacity=0).direct_cells() is not None
     assert _GetBestMemo().direct_cells() is None
+    assert _GetBestMemo(capacity=8).direct_cells() is None
     assert GlobalPlanCache().direct_cells() is None
+    assert GlobalPlanCache(capacity=8).direct_cells() is None
 
 
 @pytest.mark.parametrize("tracing", [False, True], ids=["bare", "traced"])
@@ -96,6 +110,67 @@ def test_inline_read_with_shared_tier():
             observed.append(runs)
         assert observed[0] == observed[1], label
         assert observed[0][1]["stats"]["shared_hits"] > 0, label
+
+
+CAPPED_ALGORITHMS = ("TLNmcA", "TBNmcAP", "TBNmc", "TLNmc")
+CAPPED_GRAPHS = {
+    "star8": star(8),
+    "chain10": chain(10),
+    "cycle8": cycle(8),
+    "clique6": clique(6),
+}
+CAPACITIES = ("0", "1", "quarter", "half")
+
+#: Searches that, with at most one cell, recompute so much (70,000 to two
+#: million lookups a run) that their capacity-0 and -1 cells run in the
+#: slow tier.
+SLOW_AT_ONE_CELL = {
+    ("TLNmcA", "star8"),
+    ("TLNmc", "star8"),
+    *(("TBNmc", graph) for graph in CAPPED_GRAPHS),
+    *(("TBNmcAP", graph) for graph in ("star8", "chain10", "cycle8")),
+}
+
+
+def _capped_cells() -> list[Any]:
+    cells = []
+    for name in CAPPED_ALGORITHMS:
+        for graph in CAPPED_GRAPHS:
+            for policy in MemoTable.POLICIES:
+                for capacity in CAPACITIES:
+                    slow = (name, graph) in SLOW_AT_ONE_CELL and capacity in (
+                        "0",
+                        "1",
+                    )
+                    cells.append(
+                        pytest.param(
+                            name,
+                            graph,
+                            policy,
+                            capacity,
+                            marks=[pytest.mark.slow] if slow else [],
+                        )
+                    )
+    return cells
+
+
+@pytest.mark.parametrize(("name", "graph", "policy", "capacity"), _capped_cells())
+def test_capped_inline_read_matches_get_best(name, graph, policy, capacity):
+    """A capped exact table reads its children inline and refreshes each
+    plan cell it reads where `get` would, so evictions, hits and the
+    final recency order equal the `_get_best` path's.  (That a bare run
+    does a traced run's work is `test_obs.py`'s
+    `TestTracingNeverChangesTheWork`.)"""
+    join_graph = CAPPED_GRAPHS[graph]
+    csg = count_connected_subgraphs(join_graph)
+    cells = {"0": 0, "1": 1, "quarter": csg // 4, "half": csg // 2}[capacity]
+    for seed in range(4):
+        query = weighted_query(join_graph, seed)
+        observed = [
+            _observe(name, query, memo_type(capacity=cells, policy=policy), True)
+            for memo_type in (MemoTable, _GetBestMemo)
+        ]
+        assert observed[0] == observed[1], seed
 
 
 def _count_get_best(

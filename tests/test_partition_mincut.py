@@ -343,7 +343,9 @@ class TestSearchStrategies:
     def test_acyclic_and_cycle_subsets_match_literal(self, graph):
         assert_subsets_and_search_match_literal(graph)
 
-    @pytest.mark.parametrize("cyclicity", [0.0, 0.4])
+    # C = 0 only: at C = .4 seed 2 draws trees (acyclic, as here) and
+    # seeds 1 and 3 draw the cycles of `CYCLIC_RANDOM_CELLS`.
+    @pytest.mark.parametrize("cyclicity", [0.0])
     @pytest.mark.parametrize("n", range(6, 10))
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sparse_random_subsets_match_literal(self, seed, n, cyclicity):
